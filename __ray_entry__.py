@@ -545,14 +545,14 @@ def q_lsh_plan(sf_dir: str):
 def q_redirect_resolve(sf_dir: str):
     """Redirect/canonical-chain resolution (stages/redirects.py): every
     page attributed to the FINAL target of its redirect chain, with the
-    exact hop count — Wyllie pointer doubling as a raw-Ray BSP (the
-    pagerank execution shape: P node%P state blocks, two task waves per
-    round, fixpoint in O(log chain) rounds, no executor launch in the
-    loop). Chains synthesized deterministically: doc i redirects to i-1
-    unless i % 13 == 0 (a root), giving chains up to 12 hops — 4
-    doubling rounds. The DuckDB twin is a recursive CTE following the
-    SAME closed-form pointer function one hop at a time; final_id and
-    hops match bit-for-bit (all int64)."""
+    exact hop count — Wyllie pointer doubling on the BSP engine
+    (functions/bsp.py: P node % P state blocks, one emit + relay + combine
+    round per doubling, fixpoint in O(log chain) rounds, no executor
+    launch in the loop). Chains synthesized deterministically: doc i
+    redirects to i-1 unless i % 13 == 0 (a root), giving chains up to 12
+    hops — 4 doubling rounds. The DuckDB twin is a recursive CTE
+    following the SAME closed-form pointer function one hop at a time;
+    final_id and hops match bit-for-bit (all int64)."""
     from pcompress_ray.stages.redirects import resolve_pointers
 
     _setup()
@@ -1029,8 +1029,9 @@ def q_embedding_clusters(sf_dir: str):
     """Connected components over exact cosine>=0.35 embedding pairs →
     (vec_id, cluster_id = min vec_id of the component). Oracle-checked:
     the SQL twin walks the same edges with a recursive CTE. Scale path for
-    real corpora: lsh_bucketed_pairs + distributed label_propagation
-    (stages/components.py); this query is the exact small-scale tool."""
+    real corpora: lsh_bucketed_pairs + the distributed hook-and-shortcut
+    components of stages/components.label_propagation (BSP engine,
+    O(log V) phases); this query is the exact small-scale tool."""
     from pcompress_ray.stages.ann import cosine_neardup_pairs
     from pcompress_ray.stages.components import (lookup_labels,
                                                  min_label_components)
@@ -2719,6 +2720,7 @@ def q_span_corruption(sf_dir: str, period: int = 10, span: int = 3):
     cumsum + one binary_join per batch); zero-token docs drop out."""
     import hashlib
 
+    from pcompress_ray.functions.ops import group_boundaries
     from pcompress_ray.stages.textstats import _split_tokens
 
     _setup()
@@ -2736,11 +2738,8 @@ def q_span_corruption(sf_dir: str, period: int = 10, span: int = 3):
                              "n_spans": pa.array([], pa.int64()),
                              "n_masked": pa.array([], pa.int64()),
                              "corrupted_sha": pa.array([], pa.string())})
-        first = np.empty(doc.size, bool)
-        first[0] = True
-        first[1:] = doc[1:] != doc[:-1]
+        first, _, sizes = group_boundaries(doc)
         starts_ = np.flatnonzero(first)
-        sizes = np.diff(np.append(starts_, doc.size))
         pos = np.arange(doc.size, dtype=np.int64) - np.repeat(starts_, sizes)
         d_row = np.repeat(ids[doc[starts_]], sizes)
         is_start = (pos + d_row) % period == 0
@@ -3296,6 +3295,7 @@ def q_line_dedup(sf_dir: str):
     sides. Output: per-doc line counts + sha256 of the rewritten text."""
     import hashlib
 
+    from pcompress_ray.functions.ops import group_boundaries
     from pcompress_ray.stages.rewrite import line_dedup_rewrite
     from pcompress_ray.stages.textstats import doc_segments
 
@@ -3310,10 +3310,7 @@ def q_line_dedup(sf_dir: str):
         if doc.size == 0:
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "text": pa.array([], pa.string())})
-        first = np.empty(doc.size, bool)
-        first[0] = True
-        first[1:] = doc[1:] != doc[:-1]
-        starts = np.flatnonzero(first)
+        starts = np.flatnonzero(group_boundaries(doc)[0])
         offs = np.append(starts, doc.size).astype(np.int64)
         lst = pa.LargeListArray.from_arrays(
             pa.array(offs), seg["seg"].combine_chunks()
@@ -3911,6 +3908,31 @@ def q_warc_pages(sf_dir: str):
     return pages.map_batches(finish, batch_format="pyarrow").sort("url")
 
 
+def _link_push(ids: np.ndarray, v: np.ndarray, n: int, inv7: int = 0):
+    """(dst, summed v) for v pushed along the synthesized link graph
+    i → (7i+1, 7i+2, 7i+3) mod n — or against it, to ((i-k)·inv7) mod n,
+    when ``inv7`` (7⁻¹ mod n) is given — plus a zero keep-alive row per
+    node of ``ids``. Edges are a pure function of the id: no edge table."""
+    from pcompress_ray.functions.bsp import group_reduce
+
+    dst = [((ids - k) % n) * inv7 % n if inv7 else (ids * 7 + k) % n
+           for k in (1, 2, 3)]
+    return group_reduce(np.concatenate(dst + [ids]),
+                        np.concatenate([v, v, v, np.zeros_like(v)]))
+
+
+def _contiguous_n(sf_dir: str, what: str) -> int:
+    """Row count of documents, whose doc_ids must be exactly 0..n-1."""
+    from ray.data.aggregate import Max, Min
+
+    ds = _read(sf_dir, "documents", ["doc_id"])
+    n = ds.count()  # parquet metadata only
+    mm = ds.aggregate(Min("doc_id"), Max("doc_id"))
+    if int(mm["min(doc_id)"]) != 0 or int(mm["max(doc_id)"]) != n - 1:
+        raise ValueError(f"{what} synthesis needs contiguous doc_ids")
+    return n
+
+
 def q_pagerank(sf_dir: str, iters: int = 5):
     """Distributed PageRank over a deterministic synthesized link graph —
     the webgraph centrality signal crawl pipelines rank hosts by, and the
@@ -3919,85 +3941,46 @@ def q_pagerank(sf_dir: str, iters: int = 5):
     asserted). All arithmetic is e12-scaled integer (pr//3 contributions,
     (15*base + 85*sum)//100 damping), so the SQL twin — five chained CTEs
     of the same floor divisions — matches bit for bit; no float ever
-    appears. Edges are a pure function of the source id, so contributions
-    are EMITTED per batch (no edge table, no join); a per-node zero row
-    keeps in-link-less nodes alive, twin of the oracle's LEFT JOIN.
+    appears. Contributions are EMITTED per block (``_link_push``); the
+    per-node zero row keeps in-link-less nodes alive, twin of the oracle's
+    LEFT JOIN.
 
-    Execution: the BSP loop runs as RAW Ray tasks — the state is P arrow
-    blocks partitioned by doc_id % P (a stable partitioning reused every
-    round), each round is one slicer task per state block (emit + local
-    per-dst combiner sum, so ≤N rows cross the wire regardless of edge
-    count) + one reducer task per partition (sum + damp). State is bounded
-    (16 B/node) and int64 sums are order-independent, so this is bit
-    identical to the former per-round Dataset groupby-sum — minus the
-    5 streaming-executor launches whose fixed latency dominated the loop
-    (measured 5.1 s -> ~1 s at 40k nodes). At cluster scale set P ~ total
-    cores; each round is still ONE all-to-all of ≤16 B/node."""
+    Execution: one BSP engine round per iteration (functions/bsp.py) over
+    16 doc_id % 16 state blocks — emit sums contributions per destination
+    inside each block (≤ N rows cross the wire regardless of edge count),
+    combine sums them per doc_id and damps. int64 sums are
+    order-independent, so this is bit identical to a per-round Dataset
+    groupby-sum, without a streaming-executor launch in the loop."""
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Max, Min
+
+    from pcompress_ray.functions.bsp import (BSP, col, concat, group_reduce,
+                                             route)
 
     _setup()
-    ds = _read(sf_dir, "documents", ["doc_id"])
-    n = ds.count()  # parquet metadata only
-    mm = ds.aggregate(Min("doc_id"), Max("doc_id"))
-    if int(mm["min(doc_id)"]) != 0 or int(mm["max(doc_id)"]) != n - 1:
-        raise ValueError("pagerank synthesis needs contiguous doc_ids")
-    total = 10**12
-    base_pr = total // n
-    teleport = 15 * base_pr
+    n = _contiguous_n(sf_dir, "pagerank")
+    base_pr = 10**12 // n
     P = 16
+    bsp = BSP(P)
 
-    def slicer(t: pa.Table):
-        """emit + per-partition combiner: returns P (doc_id, c) tables,
-        each already summed per dst within this block."""
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        c = t["pr_e12"].to_numpy(zero_copy_only=False).astype(np.int64) // 3
-        dst = np.concatenate([(ids * 7 + 1) % n, (ids * 7 + 2) % n,
-                              (ids * 7 + 3) % n, ids])
-        cc = np.concatenate([c, c, c, np.zeros_like(c)])
-        order = np.argsort(dst, kind="stable")
-        dst, cc = dst[order], cc[order]
-        first = np.empty(dst.size, dtype=bool)
-        first[0] = True
-        np.not_equal(dst[1:], dst[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        udst = dst[starts]
-        usum = np.add.reduceat(cc, starts)
-        part = udst % P
-        return tuple(
-            pa.table({"doc_id": pa.array(udst[part == p]),
-                      "c": pa.array(usum[part == p])})
-            for p in range(P))
+    def emit(t: pa.Table):
+        dst, s = _link_push(col(t, "doc_id"), col(t, "pr_e12") // 3, n)
+        return route(pa.table({"doc_id": dst, "c": s}), dst, P)
 
-    def reducer(*tables):
-        """sum contributions per doc_id across slicer outputs, damp."""
-        t = pa.concat_tables([x for x in tables if len(x)])
-        d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        c = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(d, kind="stable")
-        d, c = d[order], c[order]
-        first = np.empty(d.size, dtype=bool)
-        first[0] = True
-        np.not_equal(d[1:], d[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        s = np.add.reduceat(c, starts)
-        return pa.table({"doc_id": pa.array(d[starts]),
-                         "pr_e12": pa.array((teleport + 85 * s) // 100)})
+    def combine(_, *incoming):
+        t = concat(incoming)
+        d, s = group_reduce(col(t, "doc_id"), col(t, "c"))
+        return pa.table({"doc_id": d,
+                         "pr_e12": (15 * base_pr + 85 * s) // 100}), 0
 
-    slice_t = ray.remote(slicer).options(num_returns=P)
-    reduce_t = ray.remote(reducer)
-    # initial state: partition p holds doc_ids ≡ p (mod P) at base_pr
-    # (ids synthesized from the asserted-contiguous range — identical to
-    # reading them back out of the table)
+    # partition p holds doc_ids ≡ p (mod P) at base_pr (ids synthesized
+    # from the asserted-contiguous range)
     state = [ray.put(pa.table({
-        "doc_id": pa.array(np.arange(p, n, P, dtype=np.int64)),
-        "pr_e12": pa.array(np.full(len(range(p, n, P)), base_pr,
-                                   np.int64))})) for p in range(P)]
+        "doc_id": np.arange(p, n, P, dtype=np.int64),
+        "pr_e12": np.full(len(range(p, n, P)), base_pr, np.int64)}))
+        for p in range(P)]
     for _ in range(iters):
-        sliced = [slice_t.remote(b) for b in state]
-        state = [reduce_t.remote(*[s[p] for s in sliced])
-                 for p in range(P)]
+        state, _ = bsp.round(state, emit, combine)
     return rd.from_arrow_refs(state).sort("doc_id")
 
 
@@ -4009,31 +3992,26 @@ def q_hits(sf_dir: str, iters: int = 3):
     rescaled to max = 10^6 by integer floor division, so all arithmetic
     stays exact int64 and the SQL twin (chained CTEs with the same
     floor-divs) matches bit for bit. Authority step pushes hub mass down
-    OUT-edges (pure-function emit, no edge table); hub step pushes
-    authority mass UP in-edges via the modular inverse of 7 (engine-side
-    only — the oracle uses an explicit edge CTE instead). Per-node
-    keep-alive zero rows preserve nodes the other side never reaches.
-    Requires gcd(7, N) == 1 (holds for every sf table; asserted).
+    OUT-edges; hub step pushes authority mass UP in-edges via the modular
+    inverse of 7 (engine-side only — the oracle uses an explicit edge CTE
+    instead). Per-node keep-alive zero rows preserve nodes the other side
+    never reaches. Requires gcd(7, N) == 1 (holds for every sf table;
+    asserted).
 
-    Execution: like q_pagerank, the BSP loop runs as RAW Ray tasks over P
-    node%P-partitioned state blocks — per half-step one slicer task per
-    block (rescale-fused emit + local per-dst combiner sum) and one
-    reducer per partition; each reducer ALSO returns its local max so the
-    between-step global max is a P-int driver reduce instead of an
-    aggregate(Max) executor launch. The final hub/authority join is a
-    per-partition zip (both sides carry every node of the partition via
-    the keep-alive rows, asserted). Bit identical to the former Dataset
-    groupby-sum loop; 12+ launches -> 1 final sort."""
+    Execution: one BSP engine round per half-step (functions/bsp.py) over
+    16 node % 16 state blocks — emit rescales and sums per destination
+    inside each block, combine sums per node and returns its local max, so
+    the global max between steps is a max over 16 driver ints. The final
+    hub/authority join is a per-partition zip (both sides carry every node
+    of the partition via the keep-alive rows, asserted)."""
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Max, Min
+
+    from pcompress_ray.functions.bsp import (BSP, col, concat, group_reduce,
+                                             route)
 
     _setup()
-    ds = _read(sf_dir, "documents", ["doc_id"])
-    n = ds.count()
-    mm = ds.aggregate(Min("doc_id"), Max("doc_id"))
-    if int(mm["min(doc_id)"]) != 0 or int(mm["max(doc_id)"]) != n - 1:
-        raise ValueError("hits synthesis needs contiguous doc_ids")
+    n = _contiguous_n(sf_dir, "hits")
     scale = 10**6
     try:
         inv7 = pow(7, -1, n)
@@ -4042,61 +4020,25 @@ def q_hits(sf_dir: str, iters: int = 3):
                          "inverse transpose; other N would need an "
                          "explicit edge join") from exc
     P = 16
+    bsp = BSP(P)
 
-    def slicer(t: pa.Table, mx: int, out_edges: bool):
-        """rescale-fused emit + per-dst combiner; P (node, c) tables."""
-        ids = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = t["s"].to_numpy(zero_copy_only=False).astype(np.int64) \
-            * scale // mx
-        if out_edges:   # value flows to out-neighbors (7i+k) % n
-            dst = np.concatenate([(ids * 7 + 1) % n, (ids * 7 + 2) % n,
-                                  (ids * 7 + 3) % n, ids])
-        else:           # value flows to in-neighbors ((i-k) * inv7) % n
-            dst = np.concatenate([(((ids - k) % n) * inv7) % n
-                                  for k in (1, 2, 3)] + [ids])
-        vv = np.concatenate([v, v, v, np.zeros_like(v)])
-        order = np.argsort(dst, kind="stable")
-        dst, vv = dst[order], vv[order]
-        first = np.empty(dst.size, dtype=bool)
-        first[0] = True
-        np.not_equal(dst[1:], dst[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        udst = dst[starts]
-        usum = np.add.reduceat(vv, starts)
-        part = udst % P
-        return tuple(
-            pa.table({"node": pa.array(udst[part == p]),
-                      "c": pa.array(usum[part == p])})
-            for p in range(P))
+    def emit(t: pa.Table, mx: int, out_edges: bool):
+        dst, s = _link_push(col(t, "node"), col(t, "s") * scale // mx, n,
+                            0 if out_edges else inv7)
+        return route(pa.table({"node": dst, "c": s}), dst, P)
 
-    def reducer(*tables):
-        """per-node sum across slicer outputs; returns (state, local max)."""
-        t = pa.concat_tables([x for x in tables if len(x)])
-        d = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        c = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(d, kind="stable")
-        d, c = d[order], c[order]
-        first = np.empty(d.size, dtype=bool)
-        first[0] = True
-        np.not_equal(d[1:], d[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        s = np.add.reduceat(c, starts)
-        return pa.table({"node": pa.array(d[starts]), "s": pa.array(s)}), \
-            int(s.max()) if s.size else 0
-
-    slice_t = ray.remote(slicer).options(num_returns=P)
-    reduce_t = ray.remote(reducer).options(num_returns=2)
+    def combine(_, *incoming):
+        t = concat(incoming)
+        d, s = group_reduce(col(t, "node"), col(t, "c"))
+        return pa.table({"node": d, "s": s}), int(s.max()) if s.size else 0
 
     def half_step(state, mx, out_edges):
-        sliced = [slice_t.remote(b, mx, out_edges) for b in state]
-        outs = [reduce_t.remote(*[s[p] for s in sliced]) for p in range(P)]
-        new_state = [o[0] for o in outs]
-        new_mx = max(ray.get([o[1] for o in outs]))
-        return new_state, new_mx
+        state, mxs = bsp.round(state, emit, combine, args=(mx, out_edges))
+        return state, max(mxs)
 
     h = [ray.put(pa.table({
-        "node": pa.array(np.arange(p, n, P, dtype=np.int64)),
-        "s": pa.array(np.full(len(range(p, n, P)), scale, np.int64))}))
+        "node": np.arange(p, n, P, dtype=np.int64),
+        "s": np.full(len(range(p, n, P)), scale, np.int64)}))
         for p in range(P)]
     h_mx, a, a_mx = scale, None, scale
     for _ in range(iters):
@@ -4104,22 +4046,13 @@ def q_hits(sf_dir: str, iters: int = 3):
         h, h_mx = half_step(a, a_mx, False)
 
     def zip_join(at: pa.Table, ht: pa.Table, _amx=a_mx, _hmx=h_mx):
-        an = at["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        hn = ht["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ao = np.argsort(an, kind="stable")
-        ho = np.argsort(hn, kind="stable")
-        if not np.array_equal(an[ao], hn[ho]):
+        if not np.array_equal(col(at, "node"), col(ht, "node")):
             raise AssertionError("hub/authority partitions diverged")
-        av = at["s"].to_numpy(zero_copy_only=False).astype(np.int64)[ao]
-        hv = ht["s"].to_numpy(zero_copy_only=False).astype(np.int64)[ho]
-        return pa.table({
-            "node": pa.array(an[ao]),
-            "authority_e6": pa.array(av * scale // _amx),
-            "hub_e6": pa.array(hv * scale // _hmx)})
+        return pa.table({"node": at["node"],
+                         "authority_e6": col(at, "s") * scale // _amx,
+                         "hub_e6": col(ht, "s") * scale // _hmx})
 
-    join_t = ray.remote(zip_join)
-    out = [join_t.remote(a[p], h[p]) for p in range(P)]
-    return rd.from_arrow_refs(out).sort("node")
+    return rd.from_arrow_refs(bsp.map(zip_join, a, h)).sort("node")
 
 
 def q_cocitation(sf_dir: str, min_shared: int = 2):
@@ -4509,7 +4442,7 @@ def q_dedup_recall_eval(sf_dir: str):
     precision_e6)."""
     import ray.data as rd
 
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
     from pcompress_ray.stages.candidates import ngram_jaccard_pairs
 
     _setup()
@@ -4522,12 +4455,8 @@ def q_dedup_recall_eval(sf_dir: str):
         part = part.sort_values(["cluster_id", "rank"], kind="stable")
         cid = part["cluster_id"].to_numpy(np.int64)
         rk = part["rank"].to_numpy(np.int64)
-        first = np.empty(len(part), bool)
-        if len(part):
-            first[0] = True
-            first[1:] = cid[1:] != cid[:-1]
+        first, _, sizes = group_boundaries(cid)
         starts = np.flatnonzero(first)
-        sizes = np.diff(np.append(starts, len(part)))
         out_a, out_b = [], []
         for s, m in zip(starts, sizes):
             if m < 2:

@@ -27,6 +27,11 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 N_BENCH_DOCS = int(os.environ.get("GRAFT_BENCH_DOCS", "40000"))
+
+CC_EDGE_LIMIT = os.environ.get("GRAFT_CC_EDGE_LIMIT")
+if CC_EDGE_LIMIT is not None and not CC_EDGE_LIMIT.strip().isdigit():
+    sys.exit("GRAFT_CC_EDGE_LIMIT must be a non-negative integer, "
+             f"got {CC_EDGE_LIMIT!r}")
 BENCH_CORPUS_DIR = f"/tmp/pcompress_ray_bench/pages_{N_BENCH_DOCS}"
 QUERY_NAMES = ["q1_pricing", "q3_top_orders", "customer_nation", "doc_stats",
                "lang_id", "top_tokens", "events_hourly", "sessionize",
@@ -108,13 +113,12 @@ def run_bench() -> dict:
     # fake "work" (measured: 2x total CPU and 14x task-time variance with a
     # 2k-doc warm-up at 32 CPUs vs a full-width one).
     write_bench_corpus(BENCH_CORPUS_DIR, N_BENCH_DOCS)
-    # GRAFT_CC_EDGE_LIMIT=0 forces the distributed label-propagation
+    # GRAFT_CC_EDGE_LIMIT=0 forces the distributed hook-and-shortcut
     # components path (the true 100x-scale path) so it gets wall-time
     # records, not just the equality test; unset = driver union-find
     # below the configured edge gate, as in production defaults
-    cc_limit = os.environ.get("GRAFT_CC_EDGE_LIMIT")
-    cfg_kw = {} if cc_limit is None else \
-        {"cc_driver_edge_limit": int(cc_limit)}
+    cfg_kw = {} if CC_EDGE_LIMIT is None else \
+        {"cc_driver_edge_limit": int(CC_EDGE_LIMIT)}
     cfg = PipelineConfig(sig_concurrency=max(2, NUM_CPUS // 2), **cfg_kw)
     warm_docs = min(N_BENCH_DOCS, max(8000, 1000 * NUM_CPUS))
     warm = read_bench_corpus(BENCH_CORPUS_DIR).limit(warm_docs)

@@ -103,20 +103,24 @@ def _sort_grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64):
             .groupby("__part").map_groups(run, batch_format="pandas"))
 
 
-_EXCHANGE_BUDGET: list = []   # [bytes | None], cached per driver process
+_EXCHANGE_BUDGET: dict = {}   # {driver node id: bytes | None}, one entry
 
 
 def _default_exchange_budget():
-    """20% of the cluster object store, cached — cluster_resources() is
-    an RPC and this runs once per exchange call otherwise."""
-    if not _EXCHANGE_BUDGET:
-        import ray
+    """20% of the cluster object store, cached per running cluster —
+    cluster_resources() is an RPC and this runs once per exchange call
+    otherwise. The key is the driver's node id, which every ray.init()
+    makes anew, so a re-init with another store size is re-read."""
+    import ray
 
-        if not ray.is_initialized():
-            return None            # don't cache a pre-init miss
+    if not ray.is_initialized():
+        return None
+    key = ray.get_runtime_context().get_node_id()
+    if key not in _EXCHANGE_BUDGET:
         store = ray.cluster_resources().get("object_store_memory")
-        _EXCHANGE_BUDGET.append(int(store * 0.2) if store else None)
-    return _EXCHANGE_BUDGET[0]
+        _EXCHANGE_BUDGET.clear()
+        _EXCHANGE_BUDGET[key] = int(store * 0.2) if store else None
+    return _EXCHANGE_BUDGET[key]
 
 
 def fast_grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64,
@@ -178,17 +182,10 @@ def fast_grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64,
                 h = splitmix64(h ^ _col_hash_u64(t[c]))
             p = (h % np.uint64(n_parts)).astype(np.int64)
             order = np.argsort(p, kind="stable")
-            ps = p[order]
-            first = np.empty(ps.size, dtype=bool)
-            if ps.size:
-                first[0] = True
-                np.not_equal(ps[1:], ps[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            ends = np.append(starts[1:], ps.size)
-            for s, e in zip(starts, ends):
-                pid = int(ps[s])
-                parts[pid].append(t.take(order[s:e]))
-                counts[pid] += e - s
+            bounds = np.searchsorted(p[order], np.arange(n_parts + 1))
+            for pid in np.flatnonzero(np.diff(bounds)):
+                parts[pid].append(t.take(order[bounds[pid]:bounds[pid + 1]]))
+            counts += np.diff(bounds)
         schema = tabs[0].schema if tabs else None
         out = []
         for pid in range(n_parts):
@@ -445,14 +442,10 @@ def asof_join(left, right, by: str, on: str, right_val: str,
         # match; rv last in the right run -> max right_val wins ties
         order = np.lexsort((rv, side, onv, byv))
         byv, onv, side, rv = byv[order], onv[order], side[order], rv[order]
-        n = byv.size
-        idx = np.arange(n)
-        is_r = side == 0
-        last_r = np.maximum.accumulate(np.where(is_r, idx, -1))
-        new_by = np.empty(n, dtype=bool)
-        new_by[0] = True
-        np.not_equal(byv[1:], byv[:-1], out=new_by[1:])
-        grp_start = idx[new_by][np.cumsum(new_by) - 1]  # first idx of my key
+        idx = np.arange(byv.size)
+        last_r = np.maximum.accumulate(np.where(side == 0, idx, -1))
+        new_by, gid, _ = group_boundaries(byv)
+        grp_start = idx[new_by][gid]  # first idx of my key
         valid = last_r >= grp_start
         matched = np.where(valid, rv[np.maximum(last_r, 0)], missing)
         lmask = side == 1
@@ -602,10 +595,7 @@ def zip_with_rank(ds, sort_key: str, rank_col: str = "rank"):
     import ray
     import ray.data as rd
 
-    sorted_ds = ds.sort(sort_key).materialize()
-    block_refs = []
-    for bundle in sorted_ds.iter_internal_ref_bundles():
-        block_refs.extend(bundle.block_refs)
+    block_refs = materialized_block_refs(ds.sort(sort_key).materialize())
 
     @ray.remote
     def count_rows(block):
@@ -660,27 +650,19 @@ def skew_report(ds, key_col: str, n_buckets: int = 64, n_parts: int = 32):
         k = part["key"].to_numpy(np.int64)
         order = np.lexsort((k, b))
         b, k = b[order], k[order]
-        n = b.size
-        new_b = np.empty(n, bool)
-        new_b[0] = True
-        new_b[1:] = b[1:] != b[:-1]
-        new_pair = new_b.copy()
+        new_pair = group_boundaries(b)[0]
         new_pair[1:] |= k[1:] != k[:-1]
         pair_starts = np.flatnonzero(new_pair)
-        pair_rows = np.diff(np.append(pair_starts, n))
+        pair_rows = np.diff(np.append(pair_starts, b.size))
         pair_bucket = b[pair_starts]
         pair_key = k[pair_starts]
         # per-bucket over the (already bucket-sorted) pair table
-        pb_first = np.empty(pair_starts.size, bool)
-        pb_first[0] = True
-        pb_first[1:] = pair_bucket[1:] != pair_bucket[:-1]
+        pb_first, seg_id, n_keys = group_boundaries(pair_bucket)
         bstarts = np.flatnonzero(pb_first)
-        n_keys = np.diff(np.append(bstarts, pair_starts.size))
         n_rows = np.add.reduceat(pair_rows, bstarts)
         max_rows = np.maximum.reduceat(pair_rows, bstarts)
         # smallest key among the hottest: keys are sorted within bucket,
         # so the FIRST pair hitting the bucket max wins
-        seg_id = np.cumsum(pb_first) - 1
         is_max = pair_rows == max_rows[seg_id]
         idx = np.arange(pair_starts.size)
         cand = np.where(is_max, idx, np.iinfo(np.int64).max)

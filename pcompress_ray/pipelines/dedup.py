@@ -188,7 +188,8 @@ def _docs_with_bytes(sig_ds):
 def resolve_components(edges_ds, sig_ds, cfg: PipelineConfig,
                        n_edges: int | None = None):
     """Edges → cluster table over ALL docs. Driver vectorized min-label
-    components below the edge limit; distributed label propagation above."""
+    components below the edge limit; distributed hook-and-shortcut
+    components (stages/components.label_propagation) above."""
     import ray
 
     from pcompress_ray.stages.components import (
@@ -233,7 +234,8 @@ def resolve_components(edges_ds, sig_ds, cfg: PipelineConfig,
         return _docs_with_bytes(sig_ds).map_batches(
             assign, batch_format="pyarrow")
 
-    # scale path: distributed min-label propagation + join back to all docs
+    # scale path: distributed hook-and-shortcut components + join back to
+    # all docs
     from pcompress_ray.functions.ops import hash_join
     from pcompress_ray.stages.components import label_propagation
 

@@ -21,11 +21,11 @@ broadcast id-filter, one hash join to their sketches, and one vectorized
 scoring pass (stages/verify.kmv_jaccard_many). Every filter is an Arrow
 mask inside map_batches — no per-row Python anywhere. Mega-clusters are
 bounded: when any selected cluster exceeds ``member_cap`` members, ONE
-extra hash exchange keeps the canonical plus the ``member_cap`` smallest
-urls per cluster (deterministic sample, the mirror stage's per-key cap
-discipline), so the report and the join stay ≤ top·member_cap rows while
-``n_members`` still states the TRUE cluster size. Nothing driver-side
-scales with the corpus — only with ``top``.
+extra hash exchange keeps the canonical plus the ``member_cap - 1``
+smallest other urls per cluster (deterministic sample, the mirror
+stage's per-key cap discipline), so the report and the join stay
+≤ top·member_cap rows while ``n_members`` still states the TRUE cluster
+size. Nothing driver-side scales with the corpus — only with ``top``.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def cluster_explain(res, top: int = 3, kmv_k: int | None = None,
         member_filter, batch_format="pyarrow")
     if max(n_by_cluster.values()) > member_cap:
         # deterministic per-cluster sample: canonical first, then the
-        # member_cap smallest urls — one exchange, only paid when a
+        # member_cap - 1 smallest urls — one exchange, only paid when a
         # selected cluster is actually oversized
         def cap_members(part: pd.DataFrame) -> pd.DataFrame:
             part = part.sort_values(["is_canonical", "url"],

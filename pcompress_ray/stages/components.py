@@ -13,22 +13,22 @@ Two implementations:
   relaxation with pointer jumping — O((E+V) · log diameter) array passes,
   no Python per-edge loop. Used when the edge set fits the driver
   (cfg.cc_driver_edge_limit; edges ≪ docs for dedup workloads).
-- ``label_propagation``: distributed fixpoint of min-label broadcast via
-  hash-partitioned, partition-VECTORIZED rounds (grouped_partitions — one
-  pandas/numpy call per partition, never per key) — the scale path for
-  adversarially huge edge sets. Converges in O(component diameter) rounds;
-  dup clusters are near-cliques (star pairs to bucket representatives) so
-  diameter is tiny.
+- ``label_propagation``: the scale path — Shiloach–Vishkin-style
+  hook-and-shortcut on the BSP engine (functions/bsp.py), node state
+  partitioned by node % P. Each phase hooks every root onto its smallest
+  neighbouring root, shortcuts the hooked forest to stars by pointer
+  doubling and contracts the edges onto the roots. O(log V) phases
+  (``_round_bound``), whatever the component diameter; dup clusters are
+  near-cliques, so they finish in one or two.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-_SENT = np.iinfo(np.int64).max
-
 
 class DisjointSet:
     """Array-backed union-find with path halving + union by size."""
@@ -138,103 +138,94 @@ def assign_clusters(n_or_ids, labels_map: dict) -> pd.DataFrame:
                          "is_canonical": ids == cluster})
 
 
-def _min_per_node(ds):
-    """Dataset(node,label,...) → one (node, min label) row per node,
-    partition-vectorized."""
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+def _round_bound(n_nodes: int) -> int:
+    """Hook phases that suffice for ``n_nodes`` nodes.
 
-    def mn(part: pd.DataFrame) -> pd.DataFrame:
-        node = part["node"].to_numpy(dtype=np.int64)
-        label = part["label"].to_numpy(dtype=np.int64)
-        order = np.lexsort((label, node))
-        node, label = node[order], label[order]
-        first, _, _ = group_boundaries(node)
-        return pd.DataFrame({"node": node[first], "label": label[first]})
-
-    return grouped_partitions(ds.select_columns(["node", "label"]),
-                              ["node"], mn)
-
-
-def label_propagation(edges_ds, max_rounds: int = 50):
-    """Distributed min-label propagation over an edges Dataset (cols a,b int64).
-
-    Returns a Dataset (node:int64, label:int64) for every node that appears
-    in an edge. Each round: co-partition current labels with edge messages by
-    node (grouped_partitions — vectorized per PARTITION, never per key),
-    compute each node's current min label, send it to every neighbor, then
-    reduce min per node. Stops when the label sum stops decreasing (one
-    scalar aggregate per round is the only driver-side value).
-
-    Shuffle cost per round: O(E). Edges are pre-deduplicated; hot nodes are
-    fine because the per-partition reduction is linear in partition size.
+    Take the roots that still have an edge. Every one that has a smaller
+    neighbour hooks onto the smallest. A root nobody hooks onto and that
+    hooks nowhere has only smaller roots around it after the phase, so it
+    hooks in the next one. Hence the roots that have an edge at least
+    halve every two phases, and 2·⌈log2 V⌉ phases leave no edge.
     """
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    return 2 * math.ceil(math.log2(max(n_nodes, 2))) + 1
 
-    def seed_batch(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
+
+def label_propagation(edges_ds):
+    """Distributed components over an edges Dataset (cols a, b int64) →
+    Dataset (node, label) for every node in an edge, label = the minimum
+    node id of its component (as ``min_label_components``).
+
+    State is (node, ptr ≤ node) on the BSP engine. A phase hooks (every
+    edge offers min(a, b) to both endpoints, min-combined per block, and a
+    node keeps its smallest offer), shortcuts (pointer doubling until every
+    ptr is a root, ``redirects.jump_to_roots``) and contracts (each edge
+    becomes (ptr(a), ptr(b)), loops and repeats dropped) until no edge is
+    left. Raises after ``_round_bound`` phases, or when a shortcut runs
+    past ⌈log2 V⌉ + 2 rounds.
+    """
+    import ray.data as rd
+
+    from pcompress_ray.functions.bsp import (BSP, EMPTY, col, concat,
+                                             group_reduce, lookup, route)
+    from pcompress_ray.stages.redirects import jump_to_roots
+
+    P = 16
+    bsp = BSP(P)
+    empty = np.zeros(0, np.int64)
+
+    def hook(t: pa.Table):
+        a, b = col(t, "a"), col(t, "b")
         m = np.minimum(a, b)
-        return pa.table({"node": pa.array(np.concatenate([a, b])),
-                         "label": pa.array(np.concatenate([m, m]))})
+        node, ptr = group_reduce(np.concatenate([a, b]),
+                                 np.concatenate([m, m]), np.minimum)
+        return route(pa.table({"node": node, "ptr": ptr}), node, P)
 
-    def edge_msgs(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = a.size + b.size
-        return pa.table({
-            "node": pa.array(np.concatenate([a, b])),
-            "other": pa.array(np.concatenate([b, a])),
-            "label": pa.array(np.full(n, _SENT, dtype=np.int64)),
-        })
+    def attach(t, *incoming):
+        rows = [x for x in (t, concat(incoming)) if x is not None and len(x)]
+        node, ptr = group_reduce(
+            np.concatenate([col(x, "node") for x in rows] + [empty]),
+            np.concatenate([col(x, "ptr") for x in rows] + [empty]),
+            np.minimum)
+        return pa.table({"node": node, "ptr": ptr,
+                         "hops": np.zeros_like(node)}), node.size
 
-    def tag_labels(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        n = len(t)
-        return pa.table({
-            "node": t["node"].cast(pa.int64()),
-            "other": pa.array(np.full(n, -1, dtype=np.int64)),
-            "label": t["label"].cast(pa.int64()),
-        })
+    def by_a(t: pa.Table):
+        a, b = col(t, "a"), col(t, "b")
+        k = a != b
+        return route(pa.table({"a": a[k], "b": b[k]}), a[k], P)
 
-    def propagate(part: pd.DataFrame) -> pd.DataFrame:
-        node = part["node"].to_numpy(dtype=np.int64)
-        other = part["other"].to_numpy(dtype=np.int64)
-        label = part["label"].to_numpy(dtype=np.int64)
-        order = np.lexsort((label, node))
-        node, other, label = node[order], other[order], label[order]
-        first, gid, _ = group_boundaries(node)
-        cur = label[first][gid]          # min label of each row's node group
-        cur = np.where(cur == _SENT, node, cur)  # node with no label row yet
-        is_msg = other >= 0
-        return pd.DataFrame({
-            "node": np.concatenate([node[first], other[is_msg]]),
-            "label": np.concatenate([cur[first], cur[is_msg]]),
-        })
+    def root_a(t: pa.Table, *incoming):
+        e = concat(incoming)
+        a = col(t, "ptr")[lookup(col(t, "node"), col(e, "a"))]
+        b = col(e, "b")
+        return route(pa.table({"a": a, "b": b}), b, P)
 
-    labels = _min_per_node(
-        edges_ds.map_batches(seed_batch, batch_format="pyarrow")).materialize()
-    old_sum = labels.sum("label")
-    msgs = edges_ds.map_batches(edge_msgs, batch_format="pyarrow")
+    def root_b(t: pa.Table, *incoming):
+        e = concat(incoming)
+        if e is None:
+            return EMPTY, 0
+        a = col(e, "a")
+        b = col(t, "ptr")[lookup(col(t, "node"), col(e, "b"))]
+        k = a != b
+        ab = np.unique(np.stack([np.minimum(a[k], b[k]),
+                                 np.maximum(a[k], b[k])]), axis=1)
+        return pa.table({"a": ab[0], "b": ab[1]}), ab.shape[1]
 
-    for _ in range(max_rounds):
-        tagged = labels.map_batches(tag_labels, batch_format="pyarrow") \
-                       .union(msgs)
-        new_labels = _min_per_node(
-            grouped_partitions(tagged, ["node"], propagate)).materialize()
-        new_sum = new_labels.sum("label")
-        labels = new_labels
-        if new_sum == old_sum:
+    edges = bsp.blocks(edges_ds)
+    state, sizes = bsp.round(None, hook, attach, sources=edges)
+    n = sum(sizes)
+    bound, depth = _round_bound(n), math.ceil(math.log2(max(n, 2))) + 2
+    for _ in range(bound):
+        state = jump_to_roots(bsp, state, depth)
+        edges, left = bsp.round(state, by_a, root_a, root_b, sources=edges)
+        if sum(left) == 0:
             break
-        old_sum = new_sum
-    return labels
+        state, _ = bsp.round(state, hook, attach, sources=edges)
+    else:
+        raise RuntimeError(f"components: edges left after {bound} hook "
+                           f"phases over {n} nodes")
 
+    def labels(t: pa.Table) -> pa.Table:
+        return pa.table({"node": t["node"], "label": t["ptr"]})
 
-def components_from_edges(edges_df: pd.DataFrame, all_ranks: np.ndarray,
-                          use_driver: bool = True) -> pd.DataFrame:
-    """Cluster table (doc_rank, cluster_id, is_canonical) from an edge frame."""
-    if len(edges_df) == 0:
-        return assign_clusters(all_ranks, {})
-    labels = union_find(edges_df["a"].to_numpy(), edges_df["b"].to_numpy())
-    return assign_clusters(all_ranks, labels)
+    return rd.from_arrow_refs(bsp.map(labels, state))

@@ -14,15 +14,11 @@ with its pointer's pointer and accumulates hop counts,
 halving every chain per round — O(log L) rounds to full resolution,
 with exact hop distances.
 
-Execution (the q_pagerank raw-Ray BSP shape): state lives in P arrow
-blocks partitioned by node % P, reused every round. A round is two task
-waves — scatter (route each state row to its ptr's partition; P² small
-tables) and answer (vectorized searchsorted join against the resident
-state block, emitting updated rows routed straight back to node % P) —
-plus a collect that rebuilds blocks and counts changed rows. The loop
-stops at the fixpoint (changed == 0), detected from P per-block ints on
-the driver; no streaming-executor launch anywhere in the loop. State is
-24 B/node; each round moves ≤ 2 rows/node regardless of chain length.
+Execution: one BSP engine round (functions/bsp.py) per doubling over
+(node, ptr, hops) blocks partitioned by node % P — unresolved rows ask
+their ptr's partition, which answers ptr[ptr], hops[ptr] back to
+node % P — until no pointer changes. ``stages/components.py`` shortcuts
+its hook forests with the same loop (``jump_to_roots``).
 
 Reference analog: pcompress's backward-reference resolution — a dedup
 block chain ref → ref → origin is flattened to direct origin offsets at
@@ -36,149 +32,88 @@ import numpy as np
 import pyarrow as pa
 
 
+def jump_to_roots(bsp, state: list, max_rounds: int) -> list:
+    """Pointer doubling over (node, ptr, hops) state blocks until every ptr
+    is a root (or a collapsed cycle); raises after ``max_rounds`` rounds."""
+    from pcompress_ray.functions.bsp import col, concat, lookup, route
+
+    P = bsp.n_parts
+
+    def ask(t: pa.Table):
+        node, ptr = col(t, "node"), col(t, "ptr")
+        m = ptr != node
+        return route(pa.table({"node": node[m], "ptr": ptr[m]}), ptr[m], P)
+
+    def answer(t: pa.Table, *incoming):
+        req = concat(incoming)
+        ix = lookup(col(t, "node"), col(req, "ptr"))
+        node = col(req, "node")
+        ans = pa.table({"node": node, "ptr": col(t, "ptr")[ix],
+                        "hops": col(t, "hops")[ix]})
+        return route(ans, node, P)
+
+    def update(t: pa.Table, *incoming):
+        ans = concat(incoming)
+        if ans is None:
+            return t, 0
+        ix = lookup(col(t, "node"), col(ans, "node"))
+        ptr, hops, new = col(t, "ptr"), col(t, "hops"), col(ans, "ptr")
+        changed = int((ptr[ix] != new).sum())
+        ptr[ix] = new
+        hops[ix] += col(ans, "hops")
+        return pa.table({"node": t["node"], "ptr": ptr, "hops": hops}), changed
+
+    return bsp.fixpoint(lambda s: bsp.round(s, ask, answer, update), state,
+                        max_rounds, "pointer doubling")
+
+
 def resolve_pointers(ds, node_col: str = "node", ptr_col: str = "ptr",
                      n_parts: int = 16, max_rounds: int = 64):
     """(node, ptr) Dataset → (node, final_id, hops) Dataset.
 
     Functional graph: one row per node; a root is a node with
-    ptr == node. Cycles longer than 1 never reach a fixpoint and raise
-    after ``max_rounds`` (a redirect loop is data corruption upstream —
-    fail loudly, the WARC-strict-mode discipline).
+    ptr == node. A pointer cycle raises — odd ones reach no fixpoint
+    within ``max_rounds``, even ones collapse to self-pointers with
+    nonzero hops (a redirect loop is data corruption upstream — fail
+    loudly, the WARC-strict-mode discipline).
     """
     import ray
-
-    P = n_parts
-
-    def to_state(t):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t)
-        t = t.replace_schema_metadata(None)
-        if len(t) == 0 or node_col not in t.schema.names:
-            # Ray propagates zero-row blocks with EMPTY schema (the
-            # _extract_sketch_block lesson) — emit typed empties
-            return tuple(pa.table({"node": pa.array([], pa.int64()),
-                                   "ptr": pa.array([], pa.int64()),
-                                   "hops": pa.array([], pa.int64())})
-                         for _ in range(P))
-        node = t[node_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        ptr = t[ptr_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        hops = (ptr != node).astype(np.int64)
-        part = node % P
-        return tuple(
-            pa.table({"node": pa.array(node[part == p]),
-                      "ptr": pa.array(ptr[part == p]),
-                      "hops": pa.array(hops[part == p])})
-            for p in range(P))
-
-    def scatter(state: pa.Table):
-        """Route each row to its ptr's partition."""
-        ptr = state["ptr"].to_numpy(zero_copy_only=False)
-        part = ptr % P
-        return tuple(state.filter(pa.array(part == p)) for p in range(P))
-
-    def answer(state: pa.Table, *routed):
-        """Resident block q answers: new_ptr = ptr[ptr], add = hops[ptr];
-        updated rows are routed straight back to node % P."""
-        tgt_node = state["node"].to_numpy(zero_copy_only=False)
-        order = np.argsort(tgt_node, kind="stable")
-        tn = tgt_node[order]
-        tp = state["ptr"].to_numpy(zero_copy_only=False)[order]
-        th = state["hops"].to_numpy(zero_copy_only=False)[order]
-        rows = [r for r in routed if len(r)]
-        if not rows:
-            return tuple(pa.table({"node": pa.array([], pa.int64()),
-                                   "ptr": pa.array([], pa.int64()),
-                                   "hops": pa.array([], pa.int64())})
-                         for _ in range(P))
-        cat = pa.concat_tables(rows)
-        node = cat["node"].to_numpy(zero_copy_only=False)
-        ptr = cat["ptr"].to_numpy(zero_copy_only=False)
-        hops = cat["hops"].to_numpy(zero_copy_only=False)
-        ix = np.searchsorted(tn, ptr)
-        # every ptr must resolve to a state row (functional graph)
-        if ix.size and (ix.max(initial=0) >= tn.size
-                        or not np.array_equal(tn[ix], ptr)):
-            raise ValueError("dangling pointer: ptr references a missing "
-                             "node row")
-        out = pa.table({"node": pa.array(node),
-                        "ptr": pa.array(tp[ix]),
-                        "hops": pa.array(hops + th[ix])})
-        part = node % P
-        return tuple(out.filter(pa.array(part == p)) for p in range(P))
-
-    def collect(old: pa.Table, *incoming):
-        """Rebuild block p from answered rows; count changed pointers."""
-        rows = [r for r in incoming if len(r)]
-        cat = pa.concat_tables(rows) if rows else old
-        node = cat["node"].to_numpy(zero_copy_only=False)
-        order = np.argsort(node, kind="stable")
-        cat = pa.table({"node": pa.array(node[order]),
-                        "ptr": pa.array(cat["ptr"].to_numpy(
-                            zero_copy_only=False)[order]),
-                        "hops": pa.array(cat["hops"].to_numpy(
-                            zero_copy_only=False)[order])})
-        if len(old) != len(cat):
-            changed = len(cat)   # initial fold: everything is "new"
-        else:
-            old_node = old["node"].to_numpy(zero_copy_only=False)
-            old_order = np.argsort(old_node, kind="stable")
-            changed = int((cat["ptr"].to_numpy(zero_copy_only=False)
-                           != old["ptr"].to_numpy(
-                               zero_copy_only=False)[old_order]).sum())
-        return cat, changed
-
-    to_state_t = ray.remote(to_state).options(num_returns=P)
-    scatter_t = ray.remote(scatter).options(num_returns=P)
-    answer_t = ray.remote(answer).options(num_returns=P)
-    collect_t = ray.remote(collect).options(num_returns=2)
-
     import ray.data as rd
 
-    blocks = []
-    for bundle in ds.materialize().iter_internal_ref_bundles():
-        blocks.extend(bundle.block_refs)
-    sliced = [to_state_t.remote(b) for b in blocks]
-    # fold the per-input-block partitions into P state blocks
-    state = [collect_t.remote(
-        pa.table({"node": pa.array([], pa.int64()),
-                  "ptr": pa.array([], pa.int64()),
-                  "hops": pa.array([], pa.int64())}),
-        *[s[p] for s in sliced])[0] for p in range(P)]
+    from pcompress_ray.functions.bsp import BSP, col, concat, route
 
-    for _ in range(max_rounds):
-        routed = [scatter_t.remote(state[p]) for p in range(P)]
-        answers = [answer_t.remote(state[q], *[routed[p][q]
-                                               for p in range(P)])
-                   for q in range(P)]
-        nxt = [collect_t.remote(state[p], *[answers[q][p]
-                                            for q in range(P)])
-               for p in range(P)]
-        state = [n[0] for n in nxt]
-        if sum(ray.get([n[1] for n in nxt])) == 0:
-            break
-    else:
-        raise ValueError(f"no fixpoint after {max_rounds} rounds — "
-                         "pointer cycle in input")
+    bsp = BSP(n_parts)
+
+    def load(t: pa.Table):
+        node, ptr = col(t, node_col), col(t, ptr_col)
+        return route(pa.table({"node": node, "ptr": ptr,
+                               "hops": (ptr != node).astype(np.int64)}),
+                     node, n_parts)
+
+    def gather(_, *incoming):
+        t = concat(incoming)
+        if t is None:
+            t = pa.table({c: pa.array([], pa.int64())
+                          for c in ("node", "ptr", "hops")})
+        return t.sort_by("node"), len(t)
+
+    state, _ = bsp.round(None, load, gather, sources=bsp.blocks(ds))
+    state = jump_to_roots(bsp, state, max_rounds)
 
     # even-length cycles DO reach a fixpoint — they collapse to
     # self-pointers with hops > 0 (p∘p of a 2-cycle is the identity).
     # A true root has hops == 0; anything else at ptr == node is a loop.
     def count_cycles(t: pa.Table) -> int:
-        node = t["node"].to_numpy(zero_copy_only=False)
-        ptr = t["ptr"].to_numpy(zero_copy_only=False)
-        hops = t["hops"].to_numpy(zero_copy_only=False)
-        return int(((ptr == node) & (hops > 0)).sum())
+        return int(((col(t, "ptr") == col(t, "node"))
+                    & (col(t, "hops") > 0)).sum())
 
-    cyc = sum(ray.get([ray.remote(count_cycles).remote(b) for b in state]))
+    cyc = sum(ray.get(bsp.map(count_cycles, state)))
     if cyc:
         raise ValueError(f"pointer cycle in input: {cyc} nodes resolve "
                          "to themselves with nonzero hop count")
 
     def rename(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        return pa.table({"node": t["node"],
-                         "final_id": t["ptr"],
+        return pa.table({"node": t["node"], "final_id": t["ptr"],
                          "hops": t["hops"]})
 
-    return rd.from_arrow_refs(list(state)).map_batches(
-        rename, batch_format="pyarrow")
+    return rd.from_arrow_refs(bsp.map(rename, state))

@@ -1,6 +1,11 @@
 """Unit tests for the generic distributed operators (functions/ops.py) and
 connected components."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -123,16 +128,52 @@ def test_zip_with_rank(rds):
     assert (out["rank"].to_numpy() == np.arange(40)).all()
 
 
-def test_label_propagation_matches_union_find(rds):
-    from pcompress_ray.stages.components import label_propagation
-
+def _random_edges():
     rng = np.random.default_rng(5)
-    a = rng.integers(0, 80, 120).astype(np.int64)
-    b = rng.integers(0, 80, 120).astype(np.int64)
+    return (rng.integers(0, 80, 120).astype(np.int64),
+            rng.integers(0, 80, 120).astype(np.int64))
+
+
+def _permuted_path():
+    """A 1,000-node path (diameter 999) with permuted ids."""
+    ids = np.random.default_rng(11).permutation(1000).astype(np.int64)
+    return ids[:-1], ids[1:]
+
+
+def _star_of_chains():
+    """8 chains of 200 nodes hung off one hub, ids permuted."""
+    ids = np.random.default_rng(13).permutation(1601).astype(np.int64)
+    hub, chains = ids[0], ids[1:].reshape(8, 200)
+    return (np.concatenate([np.full(8, hub), chains[:, :-1].ravel()]),
+            np.concatenate([chains[:, 0], chains[:, 1:].ravel()]))
+
+
+@pytest.mark.parametrize("graph", [_random_edges, _permuted_path,
+                                   _star_of_chains],
+                         ids=["random", "path_1000", "star_of_chains"])
+def test_label_propagation_matches_union_find(rds, graph):
+    """The distributed components equal the driver's on graphs of any
+    diameter, within the round bound derived from the node count (reaching
+    it raises)."""
+    from pcompress_ray.stages.components import (label_propagation,
+                                                 min_label_components)
+
+    a, b = graph()
     edges = rds.from_pandas(pd.DataFrame({"a": a, "b": b})).repartition(4)
     got = label_propagation(edges).to_pandas().set_index("node")["label"].to_dict()
-    want = union_find(a, b)
-    assert got == {k: v for k, v in want.items()}
+    assert got == union_find(a, b)
+    keys, vals = min_label_components(a, b)
+    assert got == dict(zip(keys.tolist(), vals.tolist()))
+
+
+def test_label_propagation_raises_at_round_bound(rds, monkeypatch):
+    from pcompress_ray.stages import components
+
+    monkeypatch.setattr(components, "_round_bound", lambda n: 1)
+    a, b = _permuted_path()
+    edges = rds.from_pandas(pd.DataFrame({"a": a, "b": b})).repartition(4)
+    with pytest.raises(RuntimeError, match="edges left after 1 hook phases"):
+        components.label_propagation(edges)
 
 
 def test_asof_join_matches_pandas_merge_asof(rds):
@@ -263,6 +304,29 @@ def test_fast_grouped_partitions_byte_budget_fallback(rds):
     ref = ref.sort_values("k").reset_index(drop=True)
     pd.testing.assert_frame_equal(forced.astype(ref.dtypes.to_dict()), ref)
     pd.testing.assert_frame_equal(fast.astype(ref.dtypes.to_dict()), ref)
+
+
+def test_exchange_budget_follows_reinit():
+    """The cached exchange byte budget belongs to the running cluster: a
+    ray.shutdown() + ray.init() with another object store size re-reads it
+    (run in a subprocess, away from the session's Ray)."""
+    script = """
+import json
+import ray
+from pcompress_ray.functions.ops import _default_exchange_budget
+got = []
+for store in (80 * 2**20, 160 * 2**20):
+    ray.init(address="local", num_cpus=1, object_store_memory=store,
+             include_dashboard=False, logging_level="ERROR")
+    got.append((store, _default_exchange_budget()))
+    ray.shutdown()
+print(json.dumps(got))
+"""
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True, timeout=300,
+                         cwd=os.path.dirname(os.path.dirname(__file__)))
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert [b for _, b in got] == [int(s * 0.2) for s, _ in got]
 
 
 def test_fast_grouped_partitions_string_keys_and_pandas_fn(rds):

@@ -138,6 +138,9 @@ def test_norm_weights_int64_boundary():
         assert list(got) == exp
 
     run()
+
+
+def test_mass_preservation_property(ray_session):
     """Hypothesis: for ANY multiplicity profile and alpha, normalized
     mass is n_docs*1e6 within floor error, weights are monotone in
     dup_count, and equal dup_counts get equal weights."""
