@@ -2253,23 +2253,23 @@ def q_snapshot_diff(sf_dir: str):
     unchanged. Snapshot B is derived deterministically from the documents
     table (doc_id%11==0 deleted, doc_id%7==0 text appended, doc_id%13==0
     cloned as a new id), the same both-engines-apply-the-rule pattern as
-    bloom_dedup. ONE doc_id-keyed exchange of tagged rows, status decided
-    per partition fully vectorized; at web scale ship (id, sha) not text."""
+    bloom_dedup. ONE doc_id-keyed exchange of both snapshots, status
+    decided per partition fully vectorized; at web scale ship (id, sha)
+    not text."""
     import pyarrow.compute as pc
 
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     _setup()
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def tag_a(t: pa.Table) -> pa.Table:
+    def snap_a(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
         return pa.table({"doc_id": t["doc_id"].cast(pa.int64()),
-                         "side": pa.array(np.zeros(len(t), np.int64)),
                          "text": pc.fill_null(t["text"].cast(pa.string()),
                                               "")})
 
-    def tag_b(t: pa.Table) -> pa.Table:
+    def snap_b(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         txt = np.array([x or "" for x in t["text"].to_pylist()],
@@ -2284,40 +2284,21 @@ def q_snapshot_diff(sf_dir: str):
             np.array(["new page " + str(i) for i in ids[new_mask]],
                      dtype=object)])
         return pa.table({"doc_id": pa.array(out_ids),
-                         "side": pa.array(np.ones(out_ids.size, np.int64)),
                          "text": pa.array(out_txt.tolist(), pa.string())})
 
-    tagged = ds.map_batches(tag_a, batch_format="pyarrow").union(
-        ds.map_batches(tag_b, batch_format="pyarrow"))
+    def diff(a: pa.Table, b: pa.Table) -> pa.Table:
+        m = a.to_pandas().merge(b.to_pandas(), on="doc_id", how="outer",
+                                suffixes=("_a", "_b"), indicator=True)
+        status = np.select(
+            [m["_merge"] == "left_only", m["_merge"] == "right_only",
+             m["text_a"] == m["text_b"]],
+            ["deleted", "added", "unchanged"], "changed")
+        return pa.table({"doc_id": pa.array(m["doc_id"].to_numpy(np.int64)),
+                         "status": pa.array(status.astype(str), pa.string())})
 
-    def diff(part: pd.DataFrame) -> pa.Table:
-        rows_id, rows_st = [], []
-        if len(part):
-            ids = part["doc_id"].to_numpy(np.int64)
-            side = part["side"].to_numpy(np.int64)
-            txt = part["text"].to_numpy()
-            o = np.lexsort((side, ids))
-            ids, side, txt = ids[o], side[o], txt[o]
-            first = np.ones(ids.size, dtype=bool)
-            first[1:] = ids[1:] != ids[:-1]
-            starts = np.flatnonzero(first)
-            sizes = np.diff(np.append(starts, ids.size))
-            # size 1: side 0 -> deleted, side 1 -> added
-            # size 2: rows sorted (side0, side1) -> compare texts
-            one = sizes == 1
-            s1 = starts[one]
-            rows_id.extend(ids[s1].tolist())
-            rows_st.extend(np.where(side[s1] == 0, "deleted",
-                                    "added").tolist())
-            two = sizes == 2
-            s2 = starts[two]
-            eq = txt[s2] == txt[s2 + 1]
-            rows_id.extend(ids[s2].tolist())
-            rows_st.extend(np.where(eq, "unchanged", "changed").tolist())
-        return pa.table({"doc_id": pa.array(rows_id, pa.int64()),
-                         "status": pa.array(rows_st, pa.string())})
-
-    return grouped_partitions(tagged, ["doc_id"], diff, n_parts=32)
+    return exchange([ds.map_batches(snap_a, batch_format="pyarrow"),
+                     ds.map_batches(snap_b, batch_format="pyarrow")],
+                    [["doc_id"], ["doc_id"]], diff, n_parts=32)
 
 
 def q_length_hist_quantiles(sf_dir: str):
@@ -2884,11 +2865,9 @@ def q_shingle_novelty(sf_dir: str):
     its distinct token 3-grams, and how many of those have this doc as
     their global min-doc_id first occurrence. One shingle-keyed exchange
     (each shingle wholly in one partition ⇒ its min is global) emitting
-    tiny (first_doc, count) partials; the per-doc stats rows (map-only)
-    are UNIONED into the same doc-keyed summing exchange instead of a
-    separate hash_join — one exchange total over (doc_id, two int
-    counters) after the shingle leg."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    tiny (first_doc, count) partials; the partials and the per-doc stats
+    rows (map-only) meet in one doc-keyed summing exchange."""
+    from pcompress_ray.functions.ops import exchange, grouped_partitions
     from pcompress_ray.stages.textstats import (doc_shingle_rows,
                                                 doc_shingle_stats)
 
@@ -2899,32 +2878,26 @@ def q_shingle_novelty(sf_dir: str):
     def min_doc_partials(part: pd.DataFrame) -> pd.DataFrame:
         if len(part) == 0:
             return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                                 "novel": pd.Series(dtype=np.int64),
-                                 "n_sh": pd.Series(dtype=np.int64)})
+                                 "novel": pd.Series(dtype=np.int64)})
         m = part.groupby("sh", sort=False)["doc_id"].min()
         vc = m.value_counts()
         return pd.DataFrame({"doc_id": vc.index.to_numpy(np.int64),
-                             "novel": vc.to_numpy(np.int64),
-                             "n_sh": np.zeros(len(vc), np.int64)})
+                             "novel": vc.to_numpy(np.int64)})
 
     partials = grouped_partitions(exploded, ["sh"], min_doc_partials)
 
-    def stats_rows(t: pa.Table) -> pa.Table:
-        s = doc_shingle_stats(t)
-        return pa.table({"doc_id": s["doc_id"],
-                         "novel": pa.array(np.zeros(len(s), np.int64)),
-                         "n_sh": s["n_shingles"]})
-
-    stats = ds.map_batches(stats_rows, batch_format="pyarrow")
-
-    def sum_part(p: pd.DataFrame) -> pd.DataFrame:
-        g = p.groupby("doc_id", as_index=False)[["novel", "n_sh"]].sum()
+    def sum_part(p: pa.Table, s: pa.Table) -> pd.DataFrame:
+        novel = p.to_pandas().groupby("doc_id", as_index=False)["novel"].sum()
+        n_sh = s.select(["doc_id", "n_shingles"]).to_pandas() \
+            .groupby("doc_id", as_index=False)["n_shingles"].sum()
+        g = n_sh.merge(novel, on="doc_id", how="outer").fillna(0)
         return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(np.int64),
-                             "n_shingles": g["n_sh"].to_numpy(np.int64),
+                             "n_shingles": g["n_shingles"].to_numpy(np.int64),
                              "n_novel": g["novel"].to_numpy(np.int64)})
 
-    out = grouped_partitions(partials.union(stats), ["doc_id"], sum_part,
-                             n_parts=16)
+    out = exchange([partials,
+                    ds.map_batches(doc_shingle_stats, batch_format="pyarrow")],
+                   [["doc_id"], ["doc_id"]], sum_part, n_parts=16)
 
     def rn(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
@@ -4434,15 +4407,14 @@ def q_dedup_recall_eval(sf_dir: str):
     corpus. Ground truth = exact token-5-gram Jaccard >= 0.5 pairs
     (ngram_jaccard_pairs, itself oracle-checked); found = intra-cluster
     pairs of the flagship's cluster assignment. Both pair sets are
-    id-keyed Datasets; the comparison is one hash-partitioned exchange
-    (union + per-partition set ops) — no driver pull. No SQL oracle (the
+    id-keyed Datasets; the comparison is one two-input hash exchange
+    (per-partition set ops) — no driver pull. No SQL oracle (the
     LSH side is the engine under test); the planted-corpus recall gates in
     tests/ pin >= 0.99, this query makes the number a driver-visible
     artifact. One summary row: (n_truth, n_found, n_inter, recall_e6,
     precision_e6)."""
-    import ray.data as rd
-
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    from pcompress_ray.functions.ops import (exchange, group_boundaries,
+                                             grouped_partitions)
     from pcompress_ray.stages.candidates import ngram_jaccard_pairs
 
     _setup()
@@ -4475,34 +4447,17 @@ def q_dedup_recall_eval(sf_dir: str):
         res.clusters.select_columns(["rank", "cluster_id"]),
         ["cluster_id"], intra_pairs, n_parts=32)
 
-    def tag(side: int):
-        def f(t: pa.Table) -> pa.Table:
-            t = t.replace_schema_metadata(None)
-            cols = {"a": t["doc_a" if side == 0 else "a"].cast(pa.int64()),
-                    "b": t["doc_b" if side == 0 else "b"].cast(pa.int64())}
-            return pa.table({**cols, "side": pa.array(
-                np.full(len(t), side, np.int8))})
-        return f
+    def count_overlap(truth_p: pa.Table, found_p: pa.Table) -> pa.Table:
+        def pairs(t: pa.Table, a: str, b: str) -> set:
+            return set(zip(t[a].to_pylist(), t[b].to_pylist()))
 
-    u = truth.map_batches(tag(0), batch_format="pyarrow").union(
-        found.map_batches(tag(1), batch_format="pyarrow"))
+        t = pairs(truth_p, "doc_a", "doc_b")
+        f = pairs(found_p, "a", "b")
+        return pa.table({"n_truth": [len(t)], "n_found": [len(f)],
+                         "n_inter": [len(t & f)]})
 
-    def count_overlap(part: pd.DataFrame) -> pd.DataFrame:
-        if not len(part):
-            return pd.DataFrame({"n_truth": pd.Series(dtype=np.int64),
-                                 "n_found": pd.Series(dtype=np.int64),
-                                 "n_inter": pd.Series(dtype=np.int64)})
-        a = part["a"].to_numpy(np.int64)
-        b = part["b"].to_numpy(np.int64)
-        side = part["side"].to_numpy(np.int8)
-        m = side == 0
-        t = set(zip(a[m].tolist(), b[m].tolist()))
-        f = set(zip(a[~m].tolist(), b[~m].tolist()))
-        return pd.DataFrame({"n_truth": [len(t)], "n_found": [len(f)],
-                             "n_inter": [len(t & f)]})
-
-    parts = grouped_partitions(u, ["a", "b"], count_overlap,
-                               n_parts=32).to_pandas()
+    parts = exchange([truth, found], [["doc_a", "doc_b"], ["a", "b"]],
+                     count_overlap, n_parts=32).to_pandas()
     n_truth = int(parts["n_truth"].sum())
     n_found = int(parts["n_found"].sum())
     n_inter = int(parts["n_inter"].sum())

@@ -2,15 +2,19 @@
 
 The reference's only join-like operator is the in-memory hash index probe
 (rabin/global/index.c:485-558; J1/J2 in SURVEY §2.4), serialized by a
-semaphore ring. Here joins are explicit data-parallel exchanges:
+semaphore ring. Here every keyed operator is one data-parallel exchange:
 
-- ``hash_join``: partitioned hash join — both sides get a bucket column
-  (hash(key) % B), one groupby co-locates matching buckets, a pandas merge
-  runs per bucket. Scales as an all-to-all of both inputs; B chosen so a
-  bucket fits a worker's heap.
-- ``broadcast_join``: small side materialized once, ``ray.put`` once, probed
-  inside ``map_batches`` per big-side batch — no shuffle (SURVEY guide:
-  broadcast-small-side).
+- ``exchange``: the hash-exchange primitive. It takes several Datasets,
+  with key columns per input; all rows whose keys hash to the same
+  partition reach one ``fn`` call, as one Arrow table per input.
+- ``grouped_partitions`` / ``fast_grouped_partitions``: the single-input
+  form, handing ``fn`` one pandas DataFrame per partition.
+- ``hash_join``, ``asof_join``, ``band_join_count``: two-input exchanges;
+  the join itself (an Arrow/Acero hash join, a forward-fill scan, a
+  per-bucket range count) runs inside ``fn``.
+- ``broadcast_join`` / ``semi_join_filter``: small side materialized once,
+  ``ray.put`` once, probed inside ``map_batches`` per big-side batch — no
+  shuffle (SURVEY guide: broadcast-small-side).
 - ``zip_with_rank``: global ordering key via sort + per-block offsets (two
   passes, no driver materialization).
 """
@@ -24,6 +28,9 @@ import pyarrow as pa
 from pcompress_ray.hashing import splitmix64
 
 _SALT = np.uint64(0xA5A5A5A55A5A5A5A)
+# slicer tasks per exchange: the driver holds at most this many × (P + 1)
+# object refs, whatever the input block count
+_MAX_SLICERS = 64
 
 
 def _null_array(n: int, typ) -> pa.Array:
@@ -36,15 +43,6 @@ def _null_array(n: int, typ) -> pa.Array:
     return pa.array([None] * n, type=typ)
 
 
-def _bucket_of(values: np.ndarray, n_buckets: int) -> np.ndarray:
-    v = np.asarray(values)
-    if v.dtype.kind in "iu":
-        h = splitmix64(v.astype(np.uint64) ^ _SALT)
-    else:
-        h = pd.util.hash_array(np.asarray(v, dtype=object)).astype(np.uint64)
-    return (h % np.uint64(n_buckets)).astype(np.int32)
-
-
 def _col_hash_u64(col) -> np.ndarray:
     """uint64 hash of an arrow column (ints passed through splitmix, strings
     via pandas hash_array)."""
@@ -54,53 +52,35 @@ def _col_hash_u64(col) -> np.ndarray:
     return pd.util.hash_array(np.asarray(v, dtype=object)).astype(np.uint64)
 
 
+def _partition_ids(cols: list, n_parts: int) -> np.ndarray:
+    """The exchange's partition of every row, from its key columns. Integer
+    keys of any width hash alike, so inputs whose key types differ still
+    co-locate."""
+    h = np.zeros(len(cols[0]), dtype=np.uint64)
+    for c in cols:
+        h = splitmix64(h ^ _col_hash_u64(c))
+    return (h % np.uint64(n_parts)).astype(np.int64)
+
+
 def partition_bucket_u64(v: np.ndarray, n_parts: int) -> np.ndarray:
-    """The exact ``__part`` value grouped_partitions assigns a single
-    uint64 key column — exposed so on-disk layouts (the archive chunk
-    store's ``bucket=`` dirs) can align with the exchange's partitioning.
-    KEEP IN SYNC with add_part/_col_hash_u64 below."""
-    return (splitmix64(splitmix64(v.astype(np.uint64) ^ _SALT))
-            % np.uint64(n_parts)).astype(np.int32)
+    """The partition ``exchange`` assigns a single uint64 key column —
+    exposed so on-disk layouts (the archive chunk store's ``bucket=`` dirs)
+    can align with the exchange's partitioning."""
+    return _partition_ids([pa.array(v.astype(np.uint64))],
+                          n_parts).astype(np.int32)
 
 
-def grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64):
-    """Hash-partition by key_cols; apply ``fn`` once per PARTITION.
-
-    The groupby().map_groups() API calls the UDF once per GROUP — ~100 µs of
-    Python overhead per call, catastrophic for millions of tiny groups (the
-    chunk-hash / band-hash shuffles). This helper shuffles by
-    hash(keys) % n_parts instead, so ``fn`` receives a whole partition (all
-    rows of every key that hashed there, possibly many keys) as ONE pandas
-    DataFrame and does its own vectorized per-key logic. All rows of any
-    given key land in exactly one partition — same co-location guarantee as
-    a per-key groupby.
-
-    Dispatch: small-block inputs (the overwhelmingly common case for the
-    intermediate exchanges) route through ``fast_grouped_partitions`` — a
-    raw-Ray two-round hash shuffle that skips the Dataset sort machinery's
-    fixed cost; inputs with more blocks than its guard fall back to the
-    sort-based exchange below, where that cost amortizes.
-    """
-    return fast_grouped_partitions(ds, key_cols, fn, n_parts=n_parts)
+def _arrow(block) -> pa.Table:
+    t = block if isinstance(block, pa.Table) else \
+        pa.Table.from_pandas(block, preserve_index=False)
+    return t.replace_schema_metadata(None)
 
 
-def _sort_grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64):
-    """Sort-machinery exchange (groupby on a bucket column + map_groups) —
-    the amortized path for many-block inputs; see grouped_partitions."""
-
-    def add_part(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        h = np.zeros(len(t), dtype=np.uint64)
-        for c in key_cols:
-            h = splitmix64(h ^ _col_hash_u64(t[c]))
-        return t.append_column(
-            "__part", pa.array((h % np.uint64(n_parts)).astype(np.int32)))
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        return fn(g.drop(columns=["__part"]))
-
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("__part").map_groups(run, batch_format="pandas"))
+def _apply(fn, tables: list) -> pa.Table:
+    r = fn(*tables)
+    if isinstance(r, pd.DataFrame):
+        r = pa.Table.from_pandas(r, preserve_index=False)
+    return r.replace_schema_metadata(None)
 
 
 _EXCHANGE_BUDGET: dict = {}   # {driver node id: bytes | None}, one entry
@@ -123,100 +103,159 @@ def _default_exchange_budget():
     return _EXCHANGE_BUDGET[key]
 
 
-def fast_grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64,
-                            max_blocks: int = 4096, max_slicers: int = 64,
-                            byte_budget: int | None = None):
-    """``grouped_partitions`` as a raw-Ray two-round hash exchange.
+def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
+    """Hash-partition several Datasets on their own key columns; call
+    ``fn(*tables)`` once per partition, one Arrow table per input.
 
-    Same co-location contract (all rows of any key reach exactly one
-    ``fn`` call, as one pandas DataFrame), but implemented as G slicer
-    tasks (hash keys → slice each block into n_parts sub-tables, zero-copy
-    plasma reads) + one reducer task per NON-EMPTY partition (concat +
-    ``fn``). This skips the Dataset sort machinery, whose fixed cost —
-    executor launch, sampling, a sort task per block — dominates exchanges
-    whose input is many small blocks (the 3-way edge union at 40k docs:
-    ~4.3 s of pure overhead for 250k rows, vs ~0.5 s here).
+    ``keys[i]`` names input i's key columns (names may differ between
+    inputs; integer keys of any width hash alike). All rows of any key
+    value, from every input, reach exactly one ``fn`` call; an input with
+    no rows in that partition arrives as an empty table of its own schema.
+    ``fn`` returns a pa.Table (a pandas return is converted); the result is
+    a Dataset of those outputs. When no input has a row, ``fn`` runs once
+    on the empty tables, so the result still carries its typed schema
+    (unless an input has no schema at all, e.g. an empty Dataset that Ray
+    repartitioned).
 
-    Requirements vs grouped_partitions: ``fn`` must return a pa.Table (the
-    reducer outputs feed ``from_arrow_refs``; a pandas return is converted,
-    accepting pandas→arrow dtype mapping). The input is materialized first.
+    Fast path: G slicer tasks per input (hash keys → slice each block into
+    n_parts sub-tables, zero-copy plasma reads) + one reducer task per
+    non-empty partition (concat + ``fn``). It reads each input's own block
+    refs — no union, no sort machinery, whose fixed cost (executor launch,
+    sampling, a sort task per block) dominates exchanges of many small
+    blocks (the 3-way edge union at 40k docs: ~4.3 s of pure overhead for
+    250k rows, vs ~0.5 s here).
 
-    Scale guards (either one routes to the sort-based Dataset exchange,
-    where the fixed cost amortizes and the streaming executor applies
-    backpressure and graceful spill):
-    - block count: the driver holds G × (n_parts+1) small object refs;
-      past ``max_blocks`` blocks that bookkeeping stops being "small".
-    - byte budget: the raw-task exchange holds input blocks + their
-      slices + reducer concats in the object store SIMULTANEOUSLY, with
-      no streaming backpressure (~3× input bytes in flight). Past
-      ``byte_budget`` (default 20% of the cluster's object store, so the
-      3× transient stays under ~60%), eager dispatch can outrun spill —
-      observed as ``OutOfDiskError`` in a slicer at 1.44M docs on a
-      14 GB corpus against a 37.6 GiB store (BENCH_LOCAL.md round 5) —
-      so big inputs take the streaming path instead.
+    Byte budget: the fast path holds input blocks + their slices + reducer
+    concats in the object store SIMULTANEOUSLY, with no streaming
+    backpressure (~3× input bytes in flight). Past 20% of the cluster's
+    object store (so the transient stays under ~60%), eager dispatch can
+    outrun spill — observed as ``OutOfDiskError`` in a slicer at 1.44M docs
+    on a 14 GB corpus against a 37.6 GiB store (BENCH_LOCAL.md round 5) —
+    so larger inputs take the streaming Dataset groupby instead.
     """
     import ray
     import ray.data as rd
 
-    mat = ds.materialize()
-    refs = materialized_block_refs(mat)
-    if len(refs) > max_blocks:
-        return _sort_grouped_partitions(mat, key_cols, fn, n_parts=n_parts)
-    if not refs:
-        return _sort_grouped_partitions(mat, key_cols, fn, n_parts=n_parts)
-    if byte_budget is None:
-        byte_budget = _default_exchange_budget()
-    if byte_budget is not None and mat.size_bytes() > byte_budget:
-        return _sort_grouped_partitions(mat, key_cols, fn, n_parts=n_parts)
+    mats = [ds.materialize() for ds in inputs]
+    budget = _default_exchange_budget()
+    if budget is not None and sum(m.size_bytes() for m in mats) > budget:
+        return _stream_exchange(mats, keys, fn, n_parts)
 
-    def slicer(*blocks):
-        tabs = [b if isinstance(b, pa.Table) else
-                pa.Table.from_pandas(b, preserve_index=False)
-                for b in blocks if len(b)]
+    def slicer(key_cols, *blocks):
+        tabs = [_arrow(b) for b in blocks]
+        empty = next((t.slice(0, 0) for t in tabs if t.num_columns),
+                     pa.table({}))
         counts = np.zeros(n_parts, dtype=np.int64)
         parts: list[list] = [[] for _ in range(n_parts)]
         for t in tabs:
-            t = t.replace_schema_metadata(None)
-            h = np.zeros(len(t), dtype=np.uint64)
-            for c in key_cols:
-                h = splitmix64(h ^ _col_hash_u64(t[c]))
-            p = (h % np.uint64(n_parts)).astype(np.int64)
+            if not len(t):
+                continue
+            p = _partition_ids([t[c] for c in key_cols], n_parts)
             order = np.argsort(p, kind="stable")
             bounds = np.searchsorted(p[order], np.arange(n_parts + 1))
             for pid in np.flatnonzero(np.diff(bounds)):
                 parts[pid].append(t.take(order[bounds[pid]:bounds[pid + 1]]))
             counts += np.diff(bounds)
-        schema = tabs[0].schema if tabs else None
-        out = []
-        for pid in range(n_parts):
-            if parts[pid]:
-                out.append(pa.concat_tables(parts[pid], promote_options="permissive"))
-            else:
-                out.append(pa.table({f.name: _null_array(0, f.type)
-                                     for f in schema} if schema else {}))
+        out = [pa.concat_tables(ps, promote_options="permissive") if ps
+               else empty for ps in parts]
         return (*out, counts)
 
-    n_slice = min(len(refs), max_slicers)
-    groups = np.array_split(np.arange(len(refs)), n_slice)
-    rem = ray.remote(slicer)
-    slice_out = [rem.options(num_returns=n_parts + 1)
-                 .remote(*[refs[i] for i in g]) for g in groups]
-    counts = np.sum(ray.get([s[n_parts] for s in slice_out]), axis=0)
+    def reducer(sizes, *slices):
+        tables, i = [], 0
+        for n in sizes:
+            mine, i = slices[i:i + n], i + n
+            rows = [t for t in mine if len(t)]
+            tables.append(
+                pa.concat_tables(rows, promote_options="permissive") if rows
+                else next((t for t in mine if t.num_columns), pa.table({})))
+        if not any(map(len, tables)) and not all(t.num_columns for t in tables):
+            return pa.table({})  # no rows, and no schema to hand fn
+        return _apply(fn, tables)
 
-    def reducer(*tables):
-        tabs = [t for t in tables if len(t)]
-        df = pa.concat_tables(tabs, promote_options="permissive").to_pandas()
-        r = fn(df)
-        if isinstance(r, pd.DataFrame):
-            r = pa.Table.from_pandas(r, preserve_index=False)
-        return r.replace_schema_metadata(None)
-
+    rem = ray.remote(slicer).options(num_returns=n_parts + 1)
+    per_input = max(1, _MAX_SLICERS // len(mats))
+    slices = []
+    for m, key_cols in zip(mats, keys):
+        refs = materialized_block_refs(m)
+        groups = np.array_split(np.arange(len(refs)),
+                                min(len(refs), per_input)) if refs else []
+        slices.append([rem.remote(key_cols, *[refs[i] for i in g])
+                       for g in groups])
+    counts = np.zeros(n_parts, dtype=np.int64)
+    for c in ray.get([s[n_parts] for ss in slices for s in ss]):
+        counts += c
+    sizes = [len(ss) for ss in slices]
     red = ray.remote(reducer)
-    out_refs = [red.remote(*[s[p] for s in slice_out])
-                for p in range(n_parts) if counts[p] > 0]
-    if not out_refs:
-        return _sort_grouped_partitions(mat, key_cols, fn, n_parts=n_parts)
-    return rd.from_arrow_refs(out_refs)
+    return rd.from_arrow_refs([
+        red.remote(sizes, *[s[p] for ss in slices for s in ss])
+        for p in (np.flatnonzero(counts) if counts.any() else [0])])
+
+
+def _stream_exchange(mats: list, keys: list[list[str]], fn, n_parts: int):
+    """``exchange`` on the streaming Dataset groupby, for inputs past the
+    byte budget: each input's rows are tagged with their partition and
+    input index and padded to one shared schema (input i's column c as
+    ``"i.c"``), the inputs are unioned, one sort-based groupby co-locates
+    partitions (backpressured, spilling gracefully), and each group is
+    split back into one table per input for ``fn``."""
+    import ray
+
+    def unified_schema(*blocks):
+        return pa.unify_schemas([_arrow(b).schema for b in blocks],
+                                promote_options="permissive")
+
+    probe = ray.remote(unified_schema)
+    schemas = ray.get([probe.remote(*materialized_block_refs(m))
+                       for m in mats])
+
+    def tag(i: int):
+        def f(t: pa.Table) -> pa.Table:
+            t = t.replace_schema_metadata(None)
+            n = len(t)
+            cols = {"__part": pa.array(_partition_ids(
+                        [t[c] for c in keys[i]], n_parts).astype(np.int32)),
+                    "__side": pa.array(np.full(n, i, np.int8))}
+            for j, s in enumerate(schemas):
+                for fld in s:
+                    cols[f"{j}.{fld.name}"] = (
+                        t[fld.name].cast(fld.type)
+                        if j == i and fld.name in t.column_names
+                        else _null_array(n, fld.type))
+            return pa.table(cols)
+        return f
+
+    def run(g: pa.Table) -> pa.Table:
+        side = g["__side"].to_numpy()
+        return _apply(fn, [
+            g.filter(pa.array(side == j))
+             .select([f"{j}.{name}" for name in s.names])
+             .rename_columns(s.names)
+            for j, s in enumerate(schemas)])
+
+    tagged = [m.map_batches(tag(i), batch_format="pyarrow")
+              for i, m in enumerate(mats)]
+    u = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return u.groupby("__part").map_groups(run, batch_format="pyarrow")
+
+
+def fast_grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64):
+    """Hash-partition one Dataset by ``key_cols``; apply ``fn`` once per
+    PARTITION, as one pandas DataFrame (all rows of every key that hashed
+    there). The single-input pandas form of ``exchange``.
+
+    The groupby().map_groups() API calls the UDF once per GROUP — ~100 µs
+    of Python overhead per call, catastrophic for millions of tiny groups
+    (the chunk-hash / band-hash shuffles); here ``fn`` does its own
+    vectorized per-key logic over a whole partition. ``fn`` returns a
+    pa.Table or a pandas DataFrame (converted with pandas→arrow dtype
+    mapping).
+    """
+    return exchange([ds], [key_cols], lambda t: fn(t.to_pandas()), n_parts)
+
+
+def grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64):
+    """``fast_grouped_partitions`` under its original name."""
+    return fast_grouped_partitions(ds, key_cols, fn, n_parts=n_parts)
 
 
 def group_boundaries(sorted_keys: np.ndarray):
@@ -237,81 +276,34 @@ def hash_join(left, right, left_on: str, right_on: str, n_buckets: int = 32,
               how: str = "inner", suffix: str = "_r"):
     """Partitioned hash join of two Datasets on a single key column.
 
-    Both sides are padded to ONE combined schema (missing columns = typed
-    nulls; right columns colliding with left names get ``suffix``), tagged
-    with ``__bucket`` = hash(key) % B and ``__side``, unioned, and one
-    groupby("__bucket") co-locates buckets; an Arrow (Acero) hash join runs
-    inside ``map_groups``. One shuffle of each side total.
+    One ``exchange`` of both inputs into ``n_buckets`` partitions; an Arrow
+    (Acero) hash join runs per partition. Right columns colliding with left
+    names get ``suffix``; the output is the left columns, then the right
+    ones (pandas-merge column semantics: the right key is kept, null on
+    unmatched rows of a left join).
 
     The per-bucket join is pure Arrow — int64/uint64 keys and payloads keep
     their exact types (no pandas float64 round-trip, so 64-bit hash columns
     survive bit-exactly). Output row order within a bucket is whatever the
     join emits; downstream consumers sort/aggregate.
     """
-    def _pa_type(t):
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(np.dtype(t))
-        except Exception:
-            return pa.string()  # pandas object columns: assume string
-
-    lsch = left.schema()
-    rsch = right.schema()
-    lnames = list(lsch.names)
-    rmap = {n: (n + suffix if n in lnames else n) for n in rsch.names}
-    rnames_out = [rmap[n] for n in rsch.names]
-    rtypes = {n: _pa_type(t) for n, t in zip(rsch.names, rsch.types)}
-    ltypes = {n: _pa_type(t) for n, t in zip(lsch.names, lsch.types)}
-    right_on_out = rmap[right_on]
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        n = len(t)
-        cols = {c: t[c] for c in lnames}
-        for rn, ro in rmap.items():
-            cols[ro] = _null_array(n, rtypes[rn])
-        cols["__bucket"] = pa.array(
-            _bucket_of(t[left_on].to_numpy(zero_copy_only=False), n_buckets),
-            pa.int32())
-        cols["__side"] = pa.array(np.zeros(n, np.int8))
-        return pa.table(cols)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        n = len(t)
-        cols = {c: _null_array(n, ltypes[c]) for c in lnames}
-        for rn, ro in rmap.items():
-            cols[ro] = t[rn]
-        cols["__bucket"] = pa.array(
-            _bucket_of(t[right_on].to_numpy(zero_copy_only=False), n_buckets),
-            pa.int32())
-        cols["__side"] = pa.array(np.ones(n, np.int8))
-        return pa.table(cols)
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.map_batches(tag_right, batch_format="pyarrow")
-    out_cols = lnames + rnames_out
     join_type = "left outer" if how == "left" else "inner"
 
-    def merge(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        g = g.replace_schema_metadata(None)
-        lg = g.filter(pc.equal(g["__side"], 0)).select(lnames)
-        rg = g.filter(pc.equal(g["__side"], 1)).select(rnames_out)
-        # Acero drops/coalesces the right key; carry a copy so the output
-        # keeps pandas-merge column semantics (right key null on unmatched
-        # left rows of a left join)
-        rg = rg.append_column("__rk", rg[right_on_out])
-        out = lg.join(rg, keys=[left_on], right_keys=[right_on_out],
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        rk = right_on + suffix if right_on in lt.column_names else right_on
+        rnames = [n + suffix if n in lt.column_names else n
+                  for n in rt.column_names]
+        rt = rt.rename_columns(rnames)
+        # Acero drops/coalesces the right key; carry a copy
+        rt = rt.append_column("__rk", rt[rk])
+        out = lt.join(rt, keys=[left_on], right_keys=[rk],
                       join_type=join_type)
         cols = {c: out[c] for c in out.column_names if c != "__rk"}
-        cols[right_on_out] = out["__rk"]
-        return pa.table(cols).select(out_cols)
+        cols[rk] = out["__rk"]
+        return pa.table(cols).select(lt.column_names + rnames)
 
-    return lt.union(rt).groupby("__bucket").map_groups(
-        merge, batch_format="pyarrow")
+    return exchange([left, right], [[left_on], [right_on]], merge,
+                    n_parts=n_buckets)
 
 
 def broadcast_join(big, small_df: pd.DataFrame, big_on: str, small_on: str,
@@ -389,8 +381,8 @@ def asof_join(left, right, by: str, on: str, right_val: str,
     """As-of join: for each left row, the ``right_val`` of the LATEST right
     row with the same ``by`` key and ``on`` <= left's ``on`` (inclusive).
 
-    Ray Data has no asof primitive; this composes one from a tagged union +
-    one hash shuffle on ``by`` + a vectorized forward-fill scan per
+    Ray Data has no asof primitive; this composes one from one ``exchange``
+    of both inputs on ``by`` + a vectorized forward-fill scan per
     partition (no per-key Python). Partitioning assumption: all rows of a
     ``by`` key fit one partition — the standard asof-join contract (same as
     DuckDB's ASOF JOIN hash partitioning).
@@ -400,44 +392,17 @@ def asof_join(left, right, by: str, on: str, right_val: str,
     the greatest ``right_val`` — deterministic. Unmatched rows get
     ``missing``.
     """
-    lsch = left.schema()
-    lnames = [n for n in lsch.names]
-    ltypes = {n: t for n, t in zip(lsch.names, lsch.types)}
-    carry = [n for n in lnames if n not in (by, on)]
+    def ints(t: pa.Table, c: str) -> np.ndarray:
+        return t[c].to_numpy(zero_copy_only=False).astype(np.int64)
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        cols = {by: t[by].cast(pa.int64()), on: t[on].cast(pa.int64())}
-        for c in carry:
-            cols[c] = t[c]
-        cols["__rv"] = _null_array(len(t), pa.int64())
-        cols["__side"] = pa.array(np.ones(len(t), np.int8))
-        return pa.table(cols)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        n = len(t)
-        cols = {by: t[by].cast(pa.int64()), on: t[on].cast(pa.int64())}
-        for c in carry:
-            cols[c] = _null_array(n, ltypes[c])
-        cols["__rv"] = t[right_val].cast(pa.int64())
-        cols["__side"] = pa.array(np.zeros(n, np.int8))
-        return pa.table(cols)
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.map_batches(tag_right, batch_format="pyarrow")
-
-    def scan(part: pd.DataFrame) -> pd.DataFrame:
-        empty = {by: pd.Series(dtype=np.int64), on: pd.Series(dtype=np.int64)}
-        for c in carry:
-            empty[c] = pd.Series(dtype=part[c].dtype if len(part) else object)
-        empty[out_col] = pd.Series(dtype=np.int64)
-        if len(part) == 0:
-            return pd.DataFrame(empty)
-        byv = part[by].to_numpy(dtype=np.int64)
-        onv = part[on].to_numpy(dtype=np.int64)
-        side = part["__side"].to_numpy(dtype=np.int8)
-        rv = part["__rv"].fillna(missing).to_numpy(dtype=np.int64)
+    def scan(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        nl, nr = len(lt), len(rt)
+        byv = np.concatenate([ints(rt, by), ints(lt, by)])
+        onv = np.concatenate([ints(rt, on), ints(lt, on)])
+        side = np.repeat(np.int8([0, 1]), [nr, nl])
+        rv = np.concatenate([ints(rt, right_val),
+                             np.full(nl, missing, np.int64)])
+        lrow = np.concatenate([np.full(nr, -1), np.arange(nl)])
         # right (side=0) sorts before left at equal (by, on) -> inclusive
         # match; rv last in the right run -> max right_val wins ties
         order = np.lexsort((rv, side, onv, byv))
@@ -449,14 +414,15 @@ def asof_join(left, right, by: str, on: str, right_val: str,
         valid = last_r >= grp_start
         matched = np.where(valid, rv[np.maximum(last_r, 0)], missing)
         lmask = side == 1
+        carried = lt.take(lrow[order][lmask])
         out = {by: byv[lmask], on: onv[lmask]}
-        carried = part.iloc[order[lmask]]
-        for c in carry:
-            out[c] = carried[c].to_numpy()
+        for c in lt.column_names:
+            if c not in (by, on):
+                out[c] = carried[c]
         out[out_col] = matched[lmask]
-        return pd.DataFrame(out)
+        return pa.table(out)
 
-    return grouped_partitions(lt.union(rt), [by], scan, n_parts=n_parts)
+    return exchange([left, right], [[by], [by]], scan, n_parts=n_parts)
 
 
 def band_join_count(left, right, left_key: str, left_val: str,
@@ -473,20 +439,12 @@ def band_join_count(left, right, left_key: str, left_val: str,
     matches survive (count 0). Pick ``width`` ≈ the typical band span so
     replication stays 1-3×; the pair set itself is never materialized.
     """
-    def tag_right(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
+    def right_rows(t: pa.Table) -> pa.Table:
         v = t[right_val].to_numpy(zero_copy_only=False).astype(np.float64)
-        return pa.table({
-            "__bkt": pa.array(np.floor(v / width).astype(np.int64)),
-            "__v": pa.array(v),
-            "__lo": pa.array(np.full(v.size, np.nan)),
-            "__hi": pa.array(np.full(v.size, np.nan)),
-            "__key": pa.array(np.full(v.size, -1, dtype=np.int64)),
-            "__side": pa.array(np.zeros(v.size, np.int8)),
-        })
+        return pa.table({"__bkt": pa.array(np.floor(v / width).astype(np.int64)),
+                         "__v": pa.array(v)})
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
+    def left_rows(t: pa.Table) -> pa.Table:
         v = t[left_val].to_numpy(zero_copy_only=False).astype(np.float64)
         key = t[left_key].to_numpy(zero_copy_only=False).astype(np.int64)
         lo, hi = v * lo_mul, v * hi_mul
@@ -497,34 +455,19 @@ def band_join_count(left, right, left_key: str, left_val: str,
         # bucket offset within each row's replication run
         off = np.arange(reps.sum()) - np.repeat(
             np.concatenate([[0], np.cumsum(reps)[:-1]]), reps)
-        return pa.table({
-            "__bkt": pa.array(b0[ridx] + off),
-            "__v": pa.array(np.full(ridx.size, np.nan)),
-            "__lo": pa.array(lo[ridx]),
-            "__hi": pa.array(hi[ridx]),
-            "__key": pa.array(key[ridx]),
-            "__side": pa.array(np.ones(ridx.size, np.int8)),
-        })
+        return pa.table({"__bkt": pa.array(b0[ridx] + off),
+                         "__lo": pa.array(lo[ridx]),
+                         "__hi": pa.array(hi[ridx]),
+                         "__key": pa.array(key[ridx])})
 
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.map_batches(tag_right, batch_format="pyarrow")
-
-    def count_part(part: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({left_key: pd.Series(dtype=np.int64),
-                              "__n": pd.Series(dtype=np.int64)})
-        if len(part) == 0:
-            return empty
-        side = part["__side"].to_numpy(dtype=np.int8)
-        bkt = part["__bkt"].to_numpy(dtype=np.int64)
-        rmask = side == 0
-        rb, rv = bkt[rmask], part["__v"].to_numpy(np.float64)[rmask]
+    def count_part(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        rb = rt["__bkt"].to_numpy().astype(np.int64)
+        rv = rt["__v"].to_numpy().astype(np.float64)
         ro = np.lexsort((rv, rb))
         rb, rv = rb[ro], rv[ro]
-        lmask = ~rmask
-        lb = bkt[lmask]
-        lo = part["__lo"].to_numpy(np.float64)[lmask]
-        hi = part["__hi"].to_numpy(np.float64)[lmask]
-        key = part["__key"].to_numpy(np.int64)[lmask]
+        lb = lt["__bkt"].to_numpy().astype(np.int64)
+        lo = lt["__lo"].to_numpy().astype(np.float64)
+        hi = lt["__hi"].to_numpy().astype(np.float64)
         cnt = np.zeros(lb.size, dtype=np.int64)
         # few buckets per partition; vectorized searchsorted within each
         for b in np.unique(lb):
@@ -534,19 +477,18 @@ def band_join_count(left, right, left_key: str, left_val: str,
                 sub = rv[r0:r1]
                 cnt[sel] = (np.searchsorted(sub, hi[sel], side="right")
                             - np.searchsorted(sub, lo[sel], side="left"))
-        df = pd.DataFrame({left_key: key, "__n": cnt})
+        df = pd.DataFrame({left_key: lt["__key"].to_numpy().astype(np.int64),
+                           "__n": cnt})
         return df.groupby(left_key, as_index=False)["__n"].sum()
 
-    parts = grouped_partitions(lt.union(rt), ["__bkt"], count_part,
-                               n_parts=n_parts)
+    parts = exchange([left.map_batches(left_rows, batch_format="pyarrow"),
+                      right.map_batches(right_rows, batch_format="pyarrow")],
+                     [["__bkt"], ["__bkt"]], count_part, n_parts=n_parts)
 
     # final per-key sum via grouped_partitions, NOT Ray groupby().aggregate:
     # the latter runs per-key Python (~0.1-0.25 ms/key) — tens of seconds
     # at 20k+ left keys (measured 36.7s -> ~5s for this stage at sf0.1)
     def sum_part(p: pd.DataFrame) -> pd.DataFrame:
-        if len(p) == 0:
-            return pd.DataFrame({left_key: pd.Series(dtype=np.int64),
-                                 "n_matches": pd.Series(dtype=np.int64)})
         g = p.groupby(left_key, as_index=False)["__n"].sum()
         return pd.DataFrame({left_key: g[left_key].to_numpy(np.int64),
                              "n_matches": g["__n"].to_numpy(np.int64)})

@@ -640,10 +640,10 @@ def archive_append(archive_dir: str, new_pages_ds,
     (``partition_bucket_u64``), so each reducer co-reads ONLY its matching
     bucket's hash column — the historical hash set is never reshuffled.
     Exclusion stays EXACT (never an approximate filter — a false positive
-    would lose a chunk). Legacy non-bucketed archives fall back to
-    co-partitioned marker rows (O(store) shuffle). New docs get ranks after
-    the existing maximum (append-only rank contract); store and manifest
-    gain new Parquet files in place.
+    would lose a chunk). Legacy non-bucketed archives fall back to one
+    exchange of the new rows with the whole old hash column (O(store)
+    shuffle). New docs get ranks after the existing maximum (append-only
+    rank contract); store and manifest gain new Parquet files in place.
 
     Returns increment metrics; ``read_archive`` + ``archive_restore``
     afterwards restore old and new documents alike.
@@ -656,7 +656,7 @@ def archive_append(archive_dir: str, new_pages_ds,
     import pyarrow.parquet as pq
     import ray
 
-    from pcompress_ray.functions.ops import (grouped_partitions,
+    from pcompress_ray.functions.ops import (exchange, grouped_partitions,
                                              partition_bucket_u64,
                                              zip_with_rank)
     from pcompress_ray.hashing import hash_strings
@@ -766,36 +766,20 @@ def archive_append(archive_dir: str, new_pages_ds,
                                        n_parts=n_buckets).materialize()
         store_new.write_parquet(store_dir, partition_cols=["bucket"])
     else:
-        # legacy layout: old hashes as co-partitioned marker rows (exact,
-        # but O(store) shuffle per append)
-        def markers(t: pa.Table) -> pa.Table:
-            t = t.replace_schema_metadata(None)
-            n = len(t)
-            return pa.table({
-                "chunk_hash": t["chunk_hash"].cast(pa.uint64()),
-                "rank": pa.array(np.full(n, -1, np.int64)),
-                "seq": pa.array(np.full(n, -1, np.int64)),
-                "payload": pa.array([b""] * n, pa.binary()),
-            })
-
-        merged = rows.union(store_old.select_columns(["chunk_hash"])
-                            .map_batches(markers, batch_format="pyarrow"))
-
-        def elect_new(part: pd.DataFrame) -> pd.DataFrame:
-            ranks = part["rank"].to_numpy(dtype=np.int64)
-            old_hashes = part.loc[ranks < 0, "chunk_hash"] \
-                .to_numpy(dtype=np.uint64)
-            fresh = part[ranks >= 0]
-            if old_hashes.size:
-                fresh = fresh[~np.isin(
-                    fresh["chunk_hash"].to_numpy(dtype=np.uint64),
-                    old_hashes)]
+        # legacy layout: the whole old hash column co-partitioned with the
+        # new rows (exact, but O(store) shuffle per append)
+        def elect_new(fresh: pa.Table, old: pa.Table) -> pd.DataFrame:
+            fresh = fresh.to_pandas()
+            fresh = fresh[~np.isin(
+                fresh["chunk_hash"].to_numpy(dtype=np.uint64),
+                old["chunk_hash"].to_numpy().astype(np.uint64))]
             return _elect_compress_frame(fresh, codec_text, codec_binary,
                                          preset, cfg.archive_filters)
 
-        store_new = grouped_partitions(merged, ["chunk_hash"], elect_new,
-                                       n_parts=cfg.archive_store_buckets) \
-            .materialize()
+        store_new = exchange(
+            [rows, store_old.select_columns(["chunk_hash"])],
+            [["chunk_hash"], ["chunk_hash"]], elect_new,
+            n_parts=cfg.archive_store_buckets).materialize()
         store_new.write_parquet(store_dir)
 
     manifest_new.write_parquet(os.path.join(archive_dir, "manifest"))

@@ -98,8 +98,8 @@ def build_signatures(pages_ds, cfg: PipelineConfig, stop_ref=None):
 
 
 def union_edges(*edge_dss, cfg: PipelineConfig | None = None):
-    """Union edge Datasets on the common (a, b, kind, jaccard) schema and
-    dedup per pair keeping the strongest kind (exact > substring > near).
+    """Merge edge Datasets into one (a, b, kind, jaccard) edge set, one
+    edge per pair, keeping the strongest kind (exact > substring > near).
 
     chunk_exact_edges emits map-side-combined PARTIALS (kind
     "substring_part" + shared_bytes/shared_chunks); their global per-pair
@@ -107,33 +107,28 @@ def union_edges(*edge_dss, cfg: PipelineConfig | None = None):
     (a,b) exchange all edges already pay for — one shuffle fused out of the
     edges phase. Already-final "substring" rows (e.g. a previous run's
     checkpointed edges in the incremental path) pass through untouched."""
+    from pcompress_ray.functions.ops import exchange
+
     cfg = cfg or PipelineConfig()
     min_bytes, min_chunks = cfg.substring_min_bytes, cfg.substring_min_chunks
-
-    def norm_schema(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        n = len(t)
-        zeros = (t["shared_bytes"].cast(pa.int64()) if "shared_bytes"
-                 in t.column_names else pa.array(np.zeros(n, np.int64)))
-        zchunks = (t["shared_chunks"].cast(pa.int64()) if "shared_chunks"
-                   in t.column_names else pa.array(np.zeros(n, np.int64)))
-        return pa.table({
-            "a": t["a"].cast(pa.int64()),
-            "b": t["b"].cast(pa.int64()),
-            "kind": t["kind"].cast(pa.string()),
-            "jaccard": t["jaccard"].cast(pa.float64()),
-            "shared_bytes": zeros,
-            "shared_chunks": zchunks,
-        })
-
-    dss = [d.map_batches(norm_schema, batch_format="pyarrow") for d in edge_dss]
-    out = dss[0]
-    for d in dss[1:]:
-        out = out.union(d)
-
     prio = {"exact": 0, "substring": 1, "near": 2}
 
-    def best(part: pd.DataFrame) -> pa.Table:
+    def frame(t: pa.Table) -> pd.DataFrame:
+        zeros = np.zeros(len(t), np.int64)
+        return pd.DataFrame({
+            "a": t["a"].to_numpy().astype(np.int64),
+            "b": t["b"].to_numpy().astype(np.int64),
+            "kind": t["kind"].to_numpy(zero_copy_only=False).astype(str),
+            "jaccard": t["jaccard"].to_numpy().astype(np.float64),
+            "shared_bytes": (t["shared_bytes"].to_numpy().astype(np.int64)
+                             if "shared_bytes" in t.column_names else zeros),
+            "shared_chunks": (t["shared_chunks"].to_numpy().astype(np.int64)
+                              if "shared_chunks" in t.column_names else zeros),
+        })
+
+    def best(*tables: pa.Table) -> pa.Table:
+        part = pd.concat([frame(t) for t in tables if t.num_columns],
+                         ignore_index=True)
         is_part = part["kind"].to_numpy() == "substring_part"
         if is_part.any():
             partial = part[is_part]
@@ -158,11 +153,7 @@ def union_edges(*edge_dss, cfg: PipelineConfig | None = None):
             "jaccard": pa.array(part["jaccard"].to_numpy(dtype=np.float64)),
         })
 
-    from pcompress_ray.functions.ops import fast_grouped_partitions
-
-    # raw-Ray hash exchange: the 3-way union is many tiny blocks, where the
-    # sort-based path's fixed cost (~4.3 s at 40k docs) dwarfs the data
-    return fast_grouped_partitions(out, ["a", "b"], best)
+    return exchange(list(edge_dss), [["a", "b"]] * len(edge_dss), best)
 
 
 def _docs_with_bytes(sig_ds):
@@ -339,23 +330,17 @@ def dedup_pipeline(pages_ds, cfg: PipelineConfig | None = None,
                    checkpoint_dir: str | None = None,
                    compute_pairs: bool = True) -> DedupResult:
     """Run the full pipeline. pages_ds must carry (url, rank, text[, html])."""
-    import os
-    import sys
     import time
 
     cfg = cfg or PipelineConfig()
     ck = CheckpointManager(checkpoint_dir, cfg.config_hash())
-    timing = os.environ.get("PCOMPRESS_RAY_TIMING") == "1"
     t_last = time.time()
     phase_sec: dict[str, float] = {}
 
-    def mark(label):
+    def mark(phase):
         nonlocal t_last
         now = time.time()
-        phase_sec[label.split(" ")[0]] = round(now - t_last, 3)
-        if timing:
-            print(f"[dedup_pipeline] {label}: {now - t_last:.1f}s",
-                  file=sys.stderr, flush=True)
+        phase_sec[phase] = round(now - t_last, 3)
         t_last = now
 
     # stop-shingle (boilerplate) pass: constant-size sample, one broadcast.
@@ -378,7 +363,7 @@ def dedup_pipeline(pages_ds, cfg: PipelineConfig | None = None,
             # boilerplate suppression (pipelines/incremental.py)
             ck.save_table("stop_shingles",
                           pa.table({"sh": pa.array(stop, pa.uint64())}))
-        mark(f"stop_shingles ({stop.size})")
+        mark("stop_shingles")
 
     # locality sort (O4): co-locate likely duplicates (same registered
     # domain) before the heavy shuffles — opt-in, result-invariant

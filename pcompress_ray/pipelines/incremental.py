@@ -192,11 +192,11 @@ def bloom_prefilter_dedup(new_ds, store_ds, text_col: str = "text",
     store would persist its sha column and Bloom sidecar at write time
     (pipelines/archive.py already persists per-bucket hash columns).
     """
-    import pandas as pd
     import pyarrow.compute as pc
     import ray
 
     from pcompress_ray.functions.bloom import BloomFilter
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.hashing import hash_strings
 
     def _texts(t: pa.Table) -> np.ndarray:
@@ -254,37 +254,24 @@ def bloom_prefilter_dedup(new_ds, store_ds, text_col: str = "text",
 
     def maybe_keys(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
-        t = t.filter(pc.equal(t["bloom_maybe"], 1))
-        return pa.table({"doc_id": t["doc_id"],
-                         "sha": t["sha"],
-                         "side": pa.array(np.ones(len(t), np.int8))})
+        return t.filter(pc.equal(t["bloom_maybe"], 1)).select(["doc_id", "sha"])
 
     def store_keys(t: pa.Table) -> pa.Table:
         import hashlib
 
-        txt = _texts(t)
-        sha = [hashlib.sha256(s.encode("utf-8", "surrogatepass")).hexdigest()
-               for s in txt]
-        return pa.table({"doc_id": pa.array(np.full(len(t), -1, np.int64)),
-                         "sha": pa.array(sha, pa.string()),
-                         "side": pa.array(np.zeros(len(t), np.int8))})
+        return pa.table({"sha": pa.array(
+            [hashlib.sha256(s.encode("utf-8", "surrogatepass")).hexdigest()
+             for s in _texts(t)], pa.string())})
 
-    from pcompress_ray.functions.ops import grouped_partitions
+    def resolve(new: pa.Table, store: pa.Table) -> pa.Table:
+        dup = pc.is_in(new["sha"], value_set=store["sha"].combine_chunks())
+        return pa.table({"doc_id": new["doc_id"],
+                         "bloom_maybe": pa.array(np.ones(len(new), np.int64)),
+                         "is_dup": dup.cast(pa.int64())})
 
-    exchange = marked.map_batches(maybe_keys, batch_format="pyarrow").union(
-        store_ds.map_batches(store_keys, batch_format="pyarrow"))
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        side = g["side"].to_numpy()
-        store_set = set(g["sha"].to_numpy()[side == 0])
-        new = g[side == 1]
-        return pd.DataFrame({
-            "doc_id": new["doc_id"].to_numpy(np.int64),
-            "bloom_maybe": np.ones(len(new), np.int64),
-            "is_dup": new["sha"].isin(store_set).to_numpy(np.int64),
-        })
-
-    resolved = grouped_partitions(exchange, ["sha"], resolve,
-                                  n_parts=n_parts)
+    resolved = exchange(
+        [marked.map_batches(maybe_keys, batch_format="pyarrow"),
+         store_ds.map_batches(store_keys, batch_format="pyarrow")],
+        [["sha"], ["sha"]], resolve, n_parts=n_parts)
     return marked.map_batches(definite, batch_format="pyarrow") \
         .union(resolved)

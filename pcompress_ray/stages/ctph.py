@@ -372,26 +372,23 @@ def ctph_candidate_pairs(sig_ds, min_score: int = 60, n_parts: int = 32):
     once with the BATCHED edit-distance kernel (ctph_compare_batch: the
     whole batch is one rectangle DP, no per-pair Python).
 
-    Exchange plan — THREE chained hash exchanges in ONE streaming
-    execution (no mid-pipeline materialize/count/schema probe, which each
-    cost a full executor launch):
+    Exchange plan — THREE chained hash exchanges:
       1. gram-keyed: explode (scale, 7-gram) rows, emit candidate (a, b)
          per bucket;
       2. a-keyed: co-locate every copy of a pair with doc a's signature
-         row (a union, not a broadcast), dedupe (a, b) — all copies share
-         key a — and attach the a-side digests;
-      3. b-keyed: same union against the signatures, attach the b side,
+         row (a two-input exchange, not a broadcast), dedupe (a, b) — all
+         copies share key a — and attach the a-side digests;
+      3. b-keyed: same exchange against the signatures, attach the b side,
          verify with the batched kernel.
     Signatures travel the exchanges only once per side (and only for
     docs that appear in candidate pairs after stage 2), so the operator
     keeps its shape at any corpus size — no digest table ever lands on
     the driver.
     """
-    import ray.data as rd
+    from pcompress_ray.functions.ops import exchange, fast_grouped_partitions
 
-    from pcompress_ray.functions.ops import fast_grouped_partitions
-
-    sigs = sig_ds.materialize()
+    sig_cols = ["doc_id", "digest", "digest2", "blocksize"]
+    sigs = sig_ds.select_columns(sig_cols).materialize()
 
     def explode(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
@@ -434,96 +431,31 @@ def ctph_candidate_pairs(sig_ds, min_score: int = 60, n_parts: int = 32):
         sigs.map_batches(explode, batch_format="pyarrow"),
         ["gram"], bucket_pairs, n_parts=n_parts)
 
-    _str = pa.string()
-    u_schema = {"key": pa.int64(), "a": pa.int64(), "b": pa.int64(),
-                "d1": _str, "d2": _str, "bs": pa.int64(),
-                "d1a": _str, "d2a": _str, "bsa": pa.int64(),
-                "side": pa.int8()}
-
-    def _utab(n, **cols) -> pa.Table:
-        out = {}
-        for name, typ in u_schema.items():
-            if name in cols:
-                v = cols[name]
-                if isinstance(v, (pa.Array, pa.ChunkedArray)):
-                    out[name] = v.cast(typ)
-                else:
-                    out[name] = pa.array(np.asarray(v), typ)
-            elif typ == _str:
-                out[name] = pa.array([""] * n, _str)
-            else:
-                out[name] = pa.array(np.zeros(n, np.int64), typ)
-        return pa.table(out)
-
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return _utab(len(t), key=a, a=a,
-                     b=t["b"].to_numpy(zero_copy_only=False))
-
-    def tag_sigs(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        n = len(t)
-        return _utab(n, key=t["doc_id"].to_numpy(zero_copy_only=False),
-                     d1=t["digest"], d2=t["digest2"], bs=t["blocksize"],
-                     side=np.ones(n, np.int64))
-
-    _empty_mid = {"key": np.int64, "a": np.int64, "b": np.int64,
-                  "d1a": object, "d2a": object, "bsa": np.int64}
-
-    def attach_a(part: pd.DataFrame) -> pd.DataFrame:
-        p = part[part["side"] == 0]
-        if not len(p):
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=d) for c, d in _empty_mid.items()})
-        p = p.drop_duplicates(["a", "b"])      # every copy of (a,b) has key a
-        s = part[part["side"] == 1]
-        m = p[["a", "b"]].merge(
-            s[["key", "d1", "d2", "bs"]], left_on="a", right_on="key")
-        return pd.DataFrame({"key": m["b"].to_numpy(np.int64),
-                             "a": m["a"].to_numpy(np.int64),
+    def attach_a(pairs: pa.Table, s: pa.Table) -> pd.DataFrame:
+        # every copy of (a, b) has key a
+        p = pairs.select(["a", "b"]).to_pandas().drop_duplicates()
+        m = p.merge(s.to_pandas(), left_on="a", right_on="doc_id")
+        return pd.DataFrame({"a": m["a"].to_numpy(np.int64),
                              "b": m["b"].to_numpy(np.int64),
-                             "d1a": m["d1"].to_numpy(),
-                             "d2a": m["d2"].to_numpy(),
-                             "bsa": m["bs"].to_numpy(np.int64)})
+                             "d1a": m["digest"].to_numpy(),
+                             "d2a": m["digest2"].to_numpy(),
+                             "bsa": m["blocksize"].to_numpy(np.int64)})
 
-    def tag_mid(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        return _utab(len(t), key=t["key"], a=t["a"], b=t["b"],
-                     d1a=t["d1a"], d2a=t["d2a"], bsa=t["bsa"])
-
-    _empty_out = {"doc_a": np.int64, "doc_b": np.int64,
-                  "blocksize": np.int64, "score": np.int64}
-
-    def attach_b_score(part: pd.DataFrame) -> pd.DataFrame:
-        p = part[part["side"] == 0]
-        if not len(p):
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=d) for c, d in _empty_out.items()})
-        s = part[part["side"] == 1]
-        m = p[["a", "b", "d1a", "d2a", "bsa"]].merge(
-            s[["key", "d1", "d2", "bs"]], left_on="b", right_on="key")
+    def attach_b_score(mid: pa.Table, s: pa.Table) -> pa.Table:
+        m = mid.to_pandas().merge(s.to_pandas(),
+                                  left_on="b", right_on="doc_id")
         sc, scale = ctph_compare_batch(
             m["bsa"].to_numpy(np.int64), m["d1a"].tolist(),
-            m["d2a"].tolist(),
-            m["bs"].to_numpy(np.int64), m["d1"].tolist(), m["d2"].tolist())
+            m["d2a"].tolist(), m["blocksize"].to_numpy(np.int64),
+            m["digest"].tolist(), m["digest2"].tolist())
         keep = sc >= min_score
-        return pd.DataFrame({"doc_a": m["a"].to_numpy(np.int64)[keep],
-                             "doc_b": m["b"].to_numpy(np.int64)[keep],
-                             "blocksize": scale[keep],
-                             "score": sc[keep]})
+        return pa.table({
+            "doc_a": pa.array(m["a"].to_numpy(np.int64)[keep]),
+            "doc_b": pa.array(m["b"].to_numpy(np.int64)[keep]),
+            "blocksize": pa.array(np.asarray(scale, np.int64)[keep]),
+            "score": pa.array(np.asarray(sc, np.int64)[keep])})
 
-    side = sigs.map_batches(tag_sigs, batch_format="pyarrow")
-    u1 = cands.map_batches(tag_pairs, batch_format="pyarrow").union(side)
-    mid = fast_grouped_partitions(u1, ["key"], attach_a, n_parts=n_parts)
-    u2 = mid.map_batches(tag_mid, batch_format="pyarrow").union(side)
-    out = fast_grouped_partitions(u2, ["key"], attach_b_score,
-                                  n_parts=n_parts).materialize()
-    if out.count() == 0:
-        # keep the typed schema (an all-empty map_groups Dataset has none)
-        return rd.from_arrow(pa.table({
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "blocksize": pa.array([], pa.int64()),
-            "score": pa.array([], pa.int64())}))
-    return out
+    mid = exchange([cands, sigs], [["a"], ["doc_id"]], attach_a,
+                   n_parts=n_parts)
+    return exchange([mid, sigs], [["b"], ["doc_id"]], attach_b_score,
+                    n_parts=n_parts)

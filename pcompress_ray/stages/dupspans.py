@@ -53,7 +53,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from pcompress_ray.functions.ops import grouped_partitions
+from pcompress_ray.functions.ops import exchange, grouped_partitions
 from pcompress_ray.hashing import splitmix64
 from pcompress_ray.stages.suffix import _inv_u64, _powers
 
@@ -257,16 +257,23 @@ class MarkDupGramsBroadcast:
                         schema=_OUT_SCHEMA)
 
 
-def _semi_join_positions(part: pd.DataFrame) -> pd.DataFrame:
-    """Per-partition semi-join: keep positions whose (h1,h2) appears on the
-    key side (side==0).  Both sides of any key co-locate (partitioned on
-    h1)."""
-    keys = part[part["side"] == 0]
-    pos = part[part["side"] == 1]
-    if keys.empty or pos.empty:
+def _positions(L: int):
+    """Batch → (h1, h2, doc_id, off) rows, one per L-gram position."""
+    def f(t: pa.Table) -> pa.Table:
+        h1, h2, did, off = _batch_grams(t, L)
+        return pa.table({"h1": h1, "h2": h2, "doc_id": did, "off": off})
+    return f
+
+
+def _semi_join_positions(pos: pa.Table, keys: pa.Table) -> pd.DataFrame:
+    """Per-partition semi-join: keep positions whose (h1,h2) appears among
+    the keys.  Both inputs of any key co-locate (partitioned on h1)."""
+    if not len(keys) or not len(pos):
         return pd.DataFrame({"doc_id": np.empty(0, np.int64),
                              "off": np.empty(0, np.int64)})
-    hit = pos.merge(keys[["h1", "h2"]].drop_duplicates(), on=["h1", "h2"])
+    hit = pos.to_pandas().merge(
+        keys.select(["h1", "h2"]).to_pandas().drop_duplicates(),
+        on=["h1", "h2"])
     return pd.DataFrame({"doc_id": hit["doc_id"].to_numpy(np.int64),
                          "off": hit["off"].to_numpy(np.int64)})
 
@@ -340,22 +347,9 @@ def dup_span_stats(docs_ds, L: int = 16, n_parts: int = 64,
 
     # Scale path: positions + keys make one h1-keyed exchange (semi-join),
     # survivors one doc_id-keyed exchange (coverage).
-    def positions(t: pa.Table) -> pa.Table:
-        h1, h2, did, off = _batch_grams(t, L)
-        return pa.table({"h1": h1, "h2": h2, "doc_id": did, "off": off,
-                         "side": np.ones(h1.size, dtype=np.int8)})
-
-    def keys_side(t: pa.Table) -> pa.Table:
-        z = len(t)
-        return pa.table({"h1": t["h1"], "h2": t["h2"],
-                         "doc_id": np.zeros(z, np.int64),
-                         "off": np.zeros(z, np.int64),
-                         "side": np.zeros(z, np.int8)})
-
-    pos = docs_ds.map_batches(positions, batch_format="pyarrow")
-    keys = dup.map_batches(keys_side, batch_format="pyarrow")
-    marked = grouped_partitions(pos.union(keys), ["h1"],
-                                _semi_join_positions, n_parts=n_parts)
+    pos = docs_ds.map_batches(_positions(L), batch_format="pyarrow")
+    marked = exchange([pos, dup], [["h1"], ["h1"]], _semi_join_positions,
+                      n_parts=n_parts)
     return grouped_partitions(marked, ["doc_id"],
                               lambda p: _coverage_partition(p, L),
                               n_parts=n_parts)
@@ -503,37 +497,19 @@ def dup_span_excise(docs_ds, L: int = 16, n_parts: int = 64,
 
         return docs_ds.map_batches(excise, batch_format="pyarrow")
 
-    def positions(t: pa.Table) -> pa.Table:
-        h1, h2, did, off = _batch_grams(t, L)
-        return pa.table({"h1": h1, "h2": h2, "doc_id": did, "off": off,
-                         "side": np.ones(h1.size, np.int8)})
-
-    # the key side reuses the (otherwise zero) "off" column to carry mn, so
-    # the O(corpus positions) side of the union pays NO extra padding column
-    def keys_side(t: pa.Table) -> pa.Table:
-        z = len(t)
-        return pa.table({"h1": t["h1"], "h2": t["h2"],
-                         "doc_id": np.zeros(z, np.int64),
-                         "off": t["mn"].cast(pa.int64()),
-                         "side": np.zeros(z, np.int8)})
-
-    def semi(part: pd.DataFrame) -> pd.DataFrame:
-        keys = part[part["side"] == 0]
-        pos = part[part["side"] == 1]
-        if keys.empty or pos.empty:
+    def semi(pos: pa.Table, keys: pa.Table) -> pd.DataFrame:
+        if not len(keys) or not len(pos):
             return pd.DataFrame({"doc_id": np.empty(0, np.int64),
                                  "off": np.empty(0, np.int64)})
-        keys = keys.rename(columns={"off": "mn"})
-        hit = pos.merge(keys[["h1", "h2", "mn"]], on=["h1", "h2"])
+        hit = pos.to_pandas().merge(
+            keys.select(["h1", "h2", "mn"]).to_pandas(), on=["h1", "h2"])
         d = hit["doc_id"].to_numpy(np.int64)
         o = hit["off"].to_numpy(np.int64)
         keep = _packed_pos(d, o) > hit["mn"].to_numpy(np.int64)
         return pd.DataFrame({"doc_id": d[keep], "off": o[keep]})
 
-    pos = docs_ds.map_batches(positions, batch_format="pyarrow")
-    keys = dup.map_batches(keys_side, batch_format="pyarrow")
-    removable = grouped_partitions(pos.union(keys), ["h1"], semi,
-                                   n_parts=n_parts)
+    pos = docs_ds.map_batches(_positions(L), batch_format="pyarrow")
+    removable = exchange([pos, dup], [["h1"], ["h1"]], semi, n_parts=n_parts)
     return _splice_exchange(docs_ds, removable, L, n_parts)
 
 
@@ -543,25 +519,14 @@ def _splice_exchange(docs_ds, removable_ds, L: int, n_parts: int):
     docs.  Shared by dup_span_excise and cross_span_excise so the splice
     semantics (island merge at gap<=L) live in ONE place."""
 
-    def doc_side(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["doc_id"].cast(pa.int64()),
-                         "off": np.full(len(t), -1, np.int64),
-                         "text": t["text"].cast(pa.string())})
-
-    def rem_side(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["doc_id"].cast(pa.int64()),
-                         "off": t["off"].cast(pa.int64()),
-                         "text": pa.array([None] * len(t), pa.string())})
-
-    def splice_part(part: pd.DataFrame) -> pd.DataFrame:
-        docs = part[part["off"] < 0]
-        rem = part[part["off"] >= 0]
-        rem = rem.sort_values(["doc_id", "off"], kind="stable")
+    def splice_part(docs: pa.Table, rem: pa.Table) -> pd.DataFrame:
+        rem = rem.to_pandas().sort_values(["doc_id", "off"], kind="stable")
         by_doc = {k: v["off"].to_numpy(np.int64)
                   for k, v in rem.groupby("doc_id", sort=False)}
         out_id, out_t, out_r = [], [], []
-        for did, txt in zip(docs["doc_id"].to_numpy(np.int64),
-                            docs["text"].tolist()):
+        for did, txt in zip(
+                docs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
+                docs["text"].to_pylist()):
             txt = txt or ""
             new = splice_out(txt, by_doc.get(did, np.empty(0, np.int64)), L)
             out_id.append(did)
@@ -571,9 +536,9 @@ def _splice_exchange(docs_ds, removable_ds, L: int, n_parts: int):
                              "new_text": out_t,
                              "removed_chars": np.array(out_r, np.int64)})
 
-    both = docs_ds.map_batches(doc_side, batch_format="pyarrow").union(
-        removable_ds.map_batches(rem_side, batch_format="pyarrow"))
-    return grouped_partitions(both, ["doc_id"], splice_part, n_parts=n_parts)
+    return exchange([docs_ds.select_columns(["doc_id", "text"]),
+                     removable_ds], [["doc_id"], ["doc_id"]],
+                    splice_part, n_parts=n_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -754,20 +719,7 @@ def cross_span_excise(a_ds, b_ds, L: int = 16, n_parts: int = 64,
 
         return a_ds.map_batches(excise, batch_format="pyarrow")
 
-    def positions(t: pa.Table) -> pa.Table:
-        h1, h2, did, off = _batch_grams(t, L)
-        return pa.table({"h1": h1, "h2": h2, "doc_id": did, "off": off,
-                         "side": np.ones(h1.size, np.int8)})
-
-    def keys_side(t: pa.Table) -> pa.Table:
-        z = len(t)
-        return pa.table({"h1": t["h1"], "h2": t["h2"],
-                         "doc_id": np.zeros(z, np.int64),
-                         "off": np.zeros(z, np.int64),
-                         "side": np.zeros(z, np.int8)})
-
-    pos = a_ds.map_batches(positions, batch_format="pyarrow")
-    keys = keys_ds.map_batches(keys_side, batch_format="pyarrow")
-    removable = grouped_partitions(pos.union(keys), ["h1"],
-                                   _semi_join_positions, n_parts=n_parts)
+    pos = a_ds.map_batches(_positions(L), batch_format="pyarrow")
+    removable = exchange([pos, keys_ds], [["h1"], ["h1"]],
+                         _semi_join_positions, n_parts=n_parts)
     return _splice_exchange(a_ds, removable, L, n_parts)

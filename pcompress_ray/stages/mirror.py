@@ -101,11 +101,9 @@ def mirror_domain_pairs(ds, domain_col: str = "domain",
     sizes = grouped_partitions(
         emitted.map_batches(kind_filter(0), batch_format="pyarrow"),
         ["a"], counts)
-    # materialize: hash_join reads .schema(), which a lazy
-    # grouped_partitions pipeline reports as None
     pairs = grouped_partitions(
         emitted.map_batches(kind_filter(1), batch_format="pyarrow"),
-        ["a", "b"], counts).materialize()
+        ["a", "b"], counts)
 
     def size_cols(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)

@@ -21,7 +21,9 @@ import pyarrow as pa
 
 from pcompress_ray.hashing import hash_strings, splitmix64
 
-TOKEN_RE = r"[a-z0-9]+"
+_TOKEN_CLASS = "a-z0-9"
+TOKEN_RE = f"[{_TOKEN_CLASS}]+"
+_NON_TOKEN_RE = f"[^{_TOKEN_CLASS}]+"
 PUNCT_RE = r"[!-/:-@\[-`{-~]"
 
 # stopword regexes per language — shared verbatim with the SQL oracle.
@@ -234,7 +236,7 @@ def tokenize_alnum(col):
         col = col.combine_chunks()
     col = pc.fill_null(col, "")
     norm = pc.replace_substring_regex(
-        pc.utf8_lower(col), "[^" + TOKEN_RE[1:-2] + "]+", " ")
+        pc.utf8_lower(col), _NON_TOKEN_RE, " ")
     toks = pc.split_pattern(norm, " ")
     nper = pc.list_value_length(toks).to_numpy(zero_copy_only=False) \
         .astype(np.int64)

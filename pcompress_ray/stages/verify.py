@@ -300,9 +300,7 @@ def _verify_join(cand_ds, sig_ds, cfg: PipelineConfig, ids):
             "kmv_a": t["kmv"].cast(pa.binary()),
         })
 
-    # materialize between the two joins: hash_join needs the input schema and
-    # the second shuffle would otherwise re-execute the first join's DAG
-    j1 = j1.map_batches(rn1, batch_format="pyarrow").materialize()
+    j1 = j1.map_batches(rn1, batch_format="pyarrow")
     j2 = hash_join(j1, sk, left_on="b", right_on="rank",
                    n_buckets=cfg.join_buckets, suffix="_b")
 

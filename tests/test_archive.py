@@ -142,6 +142,21 @@ def test_archive_append_incremental(ray_session, tmp_path):
     """Append-only increment: chunks already in the store are never
     re-stored (global index reuse analog, rabin/global/index.c:511);
     old + new docs restore byte-identically from the same directory."""
+    _check_append(tmp_path, legacy_layout=False)
+
+
+def test_archive_append_legacy_layout(ray_session, tmp_path):
+    """An archive whose metrics name no store bucket count (written before
+    the bucketed layout) appends through the exclusion exchange against
+    the whole old store, with the same outcome."""
+    _check_append(tmp_path, legacy_layout=True)
+
+
+def _check_append(tmp_path, legacy_layout: bool):
+    import glob
+    import json
+    import os
+
     import pyarrow as pa
     import ray.data as rd
 
@@ -157,6 +172,13 @@ def test_archive_append_incremental(ray_session, tmp_path):
         archive_write(rd.from_arrow(pages_a), cfg, text_col="text"),
         str(tmp_path / "arch_inc"))
     n_store_a = read_archive(out)[0].count()
+    if legacy_layout:
+        metrics_path = os.path.join(out, "metrics.json")
+        with open(metrics_path) as f:
+            metrics = json.load(f)
+        del metrics["store_buckets"]
+        with open(metrics_path, "w") as f:
+            json.dump(metrics, f)
 
     # batch B: 40 exact copies of A texts (new urls) + 60 fresh docs
     fresh, _, _ = make_corpus(60, 1234, with_oracle=False)
@@ -186,9 +208,6 @@ def test_archive_append_incremental(ray_session, tmp_path):
         assert by_url[f"new://{u}"] == txt
 
     # O(increment) layout: the store is bucket-partitioned on disk
-    import glob
-    import os
-
     assert glob.glob(os.path.join(out, "store", "bucket=*"))
 
     # idempotency: re-running the SAME committed append is a no-op (urls

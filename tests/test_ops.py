@@ -281,25 +281,26 @@ def test_fast_grouped_partitions_matches_sort_path(rds):
     pd.testing.assert_frame_equal(fast, ref.astype(fast.dtypes.to_dict()))
 
 
-def test_fast_grouped_partitions_byte_budget_fallback(rds):
+def test_fast_grouped_partitions_byte_budget_fallback(rds, monkeypatch):
     """An input past the object-store byte budget must route to the
     streaming sort exchange (the backpressured path that cannot hit the
     eager-dispatch OutOfDiskError) and still honor the co-location
     contract bit for bit."""
-    from pcompress_ray.functions.ops import fast_grouped_partitions
+    from pcompress_ray.functions import ops
 
     _gp_fn = _make_gp_fn()
     rng = np.random.RandomState(11)
     df = pd.DataFrame({"k": rng.randint(0, 50, 2000).astype(np.int64),
                        "v": rng.randint(0, 9, 2000).astype(np.int64)})
-    ds = rds.from_pandas(df).repartition(5)
-    # byte_budget=1 forces the fallback; default budget keeps the fast path
-    forced = fast_grouped_partitions(ds, ["k"], _gp_fn, n_parts=7,
-                                     byte_budget=1) \
+    fast = ops.fast_grouped_partitions(rds.from_pandas(df).repartition(5),
+                                       ["k"], _gp_fn, n_parts=7) \
         .to_pandas().sort_values("k").reset_index(drop=True)
-    fast = fast_grouped_partitions(rds.from_pandas(df).repartition(5),
-                                   ["k"], _gp_fn, n_parts=7) \
-        .to_pandas().sort_values("k").reset_index(drop=True)
+    # a 1-byte budget forces the streaming path
+    monkeypatch.setattr(ops, "_default_exchange_budget", lambda: 1)
+    forced = ops.fast_grouped_partitions(rds.from_pandas(df).repartition(5),
+                                         ["k"], _gp_fn, n_parts=7)
+    assert not isinstance(forced, rds.dataset.MaterializedDataset)
+    forced = forced.to_pandas().sort_values("k").reset_index(drop=True)
     ref = df.groupby("k", as_index=False).agg(s=("v", "sum"), n=("v", "size"))
     ref = ref.sort_values("k").reset_index(drop=True)
     pd.testing.assert_frame_equal(forced.astype(ref.dtypes.to_dict()), ref)
@@ -353,3 +354,68 @@ def test_fast_grouped_partitions_empty_input(rds):
                        "v": pd.Series([], dtype=np.int64)})
     out = fast_grouped_partitions(rds.from_pandas(df), ["k"], _make_gp_fn())
     assert out.count() == 0
+
+
+def test_exchange_multi_input(rds):
+    """Two inputs keyed on differently named uint64 columns (values past
+    2**63) co-locate; an input with no rows reaches ``fn`` as an empty
+    table of its own schema; with no rows anywhere ``fn`` still runs once,
+    so the result keeps its typed schema."""
+    from pcompress_ray.functions.ops import exchange
+
+    def count(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lk = lt["k"].to_numpy()
+        rk = rt["kk"].to_numpy()
+        keys = np.union1d(lk, rk).astype(np.uint64)
+        return pa.table({
+            "k": pa.array(keys, pa.uint64()),
+            "nl": pa.array([int((lk == k).sum()) for k in keys], pa.int64()),
+            "nr": pa.array([int((rk == k).sum()) for k in keys], pa.int64())})
+
+    keys = np.uint64(2**63) + np.arange(60, dtype=np.uint64) * np.uint64(977)
+    left = pa.table({"k": pa.array(np.repeat(keys, 2)),
+                     "x": pa.array(np.arange(120, dtype=np.int64))})
+    right = pa.table({"kk": pa.array(keys[::3]),
+                      "y": pa.array(np.arange(20, dtype=np.float64))})
+
+    def run(lt, rt):
+        # repartitioning an empty Dataset would drop its schema
+        return exchange([rds.from_arrow(t).repartition(n) if len(t)
+                         else rds.from_arrow(t) for t, n in ((lt, 4), (rt, 3))],
+                        [["k"], ["kk"]], count, n_parts=8)
+
+    got = run(left, right).to_pandas().sort_values("k")
+    assert got["k"].is_unique  # every key reached exactly one fn call
+    np.testing.assert_array_equal(got["k"].to_numpy(np.uint64), keys)
+    assert (got["nl"] == 2).all()
+    np.testing.assert_array_equal(got["nr"].to_numpy(),
+                                  (np.arange(60) % 3 == 0).astype(np.int64))
+
+    got = run(left, right.slice(0, 0)).to_pandas()
+    assert len(got) == 60 and (got["nr"] == 0).all()
+
+    out = run(left.slice(0, 0), right.slice(0, 0))
+    assert out.count() == 0
+    schema = out.schema()
+    assert schema is not None
+    assert list(schema.names) == ["k", "nl", "nr"]
+    assert list(schema.types) == [pa.uint64(), pa.int64(), pa.int64()]
+
+
+@pytest.mark.parametrize("case", [
+    test_hash_join_matches_pandas, test_hash_join_left_outer,
+    test_asof_join_matches_pandas_merge_asof,
+    test_asof_join_inclusive_and_boundaries,
+    test_band_join_count_matches_bruteforce,
+    test_fast_grouped_partitions_matches_sort_path,
+    test_fast_grouped_partitions_string_keys_and_pandas_fn,
+    test_fast_grouped_partitions_empty_input,
+    test_exchange_multi_input,
+], ids=lambda f: f.__name__[len("test_"):])
+def test_streaming_exchange_path(rds, monkeypatch, case):
+    """Each exchange test above, again with a 1-byte budget that forces
+    the streaming path: both paths give the same results."""
+    from pcompress_ray.functions import ops
+
+    monkeypatch.setattr(ops, "_default_exchange_budget", lambda: 1)
+    case(rds)

@@ -290,3 +290,41 @@ def test_dedupe_gain_metrics(corpus, result, ray_session):
     assert m["n_dup_docs"] == int((~result["clusters"].is_canonical).sum())
     assert m["gain_ratio"] == round(m["dup_bytes"] / m["bytes_scanned"], 6)
     assert m["gain_below_threshold"] is (m["gain_ratio"] < 0.9)
+
+
+def test_union_edges_blocks_keep_columns(ray_session, tmp_path, caplog):
+    """union_edges over a bench corpus: every output block keeps the edge
+    columns, and no step reports a block whose schema changed (a
+    map_batches over doc_exact_edges's many empty partitions turns them
+    into zero-column blocks)."""
+    import logging
+
+    import ray
+
+    import pcompress_ray
+    from pcompress_ray.functions.ops import materialized_block_refs
+    from pcompress_ray.pipelines.dedup import build_signatures, union_edges
+    from pcompress_ray.sources.corpus import (read_bench_corpus,
+                                              write_bench_corpus)
+    from pcompress_ray.stages.candidates import lsh_candidates
+    from pcompress_ray.stages.exact import chunk_exact_edges, doc_exact_edges
+    from pcompress_ray.stages.verify import verify_candidates
+
+    pcompress_ray.register_for_ray()
+    cfg = PipelineConfig()
+    pages = read_bench_corpus(write_bench_corpus(str(tmp_path), 400, seed=1))
+    sig = build_signatures(pages, cfg).materialize()
+    e_near = verify_candidates(lsh_candidates(sig, cfg).materialize(), sig,
+                               cfg)
+    ray_data_log = logging.getLogger("ray.data")
+    ray_data_log.addHandler(caplog.handler)
+    try:
+        edges = union_edges(doc_exact_edges(sig), chunk_exact_edges(sig, cfg),
+                            e_near, cfg=cfg).materialize()
+    finally:
+        ray_data_log.removeHandler(caplog.handler)
+    assert "different schema" not in caplog.text
+    blocks = ray.get(materialized_block_refs(edges))
+    assert blocks and edges.count() > 0
+    for b in blocks:
+        assert list(b.column_names) == ["a", "b", "kind", "jaccard"]
