@@ -1,17 +1,22 @@
-"""Benchmark harness.
+"""Scaling gate: paired fresh-process runs of the flagship dedup pipeline.
 
-Headline: the flagship near-dup pipeline (extract → CDC+MinHash/LSH →
-exact/chunk/LSH shuffles → verify → components) over a synthesized
-Common-Crawl-style pages corpus (~N_DOCS rows, planted duplicates), plus
-per-query timings over $GRAFT_SF_DIR tables.
+``python bench.py --scaling`` runs the flagship near-dup pipeline
+(extract → CDC+MinHash/LSH → exact/chunk/LSH shuffles → verify →
+components) over a synthesized Common-Crawl-style pages corpus with planted
+duplicates, twice per pair in FRESH processes — at GRAFT_SCALING_CPUS
+(default "4,16") on the SAME corpus — and prints one JSON line with the
+paired scaling efficiency = (T_lo/T_hi)/(hi/lo).
 
-Prints ONE JSON line:
-  {"metric": ..., "value": <headline sec>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N, "docs_per_sec": ...}
+``python bench.py`` runs one such leg: a warm-up, then one timed pipeline
+run over GRAFT_BENCH_DOCS pages (default 40000) at RAY_GRAFT_CPUS (default:
+the CPUs this process may use), and prints one JSON line:
+  {"metric": ..., "value": <sec>, "unit": "sec", "num_cpus": N,
+   "bench_docs": ..., "docs_per_sec": ..., "cluster_rows": ...}
 
---scaling: runs the headline twice in FRESH processes at num_cpus=8 and 32
-on the SAME corpus (page cache warmed) and reports throughputs + scaling
-efficiency = (T8/T32)/4.
+GRAFT_CC_EDGE_LIMIT=<int> sets ``cc_driver_edge_limit`` (0 forces the
+distributed hook-and-shortcut components path). Throughput per workload and
+per layer, with every op checked, is perfbench's job:
+``python3 perfbench/run.py --workload {dedup_bulk,query_sweep} --seed 1``.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              str(len(os.sched_getaffinity(0)))))
 N_BENCH_DOCS = int(os.environ.get("GRAFT_BENCH_DOCS", "40000"))
 
 CC_EDGE_LIMIT = os.environ.get("GRAFT_CC_EDGE_LIMIT")
@@ -33,58 +38,9 @@ if CC_EDGE_LIMIT is not None and not CC_EDGE_LIMIT.strip().isdigit():
     sys.exit("GRAFT_CC_EDGE_LIMIT must be a non-negative integer, "
              f"got {CC_EDGE_LIMIT!r}")
 BENCH_CORPUS_DIR = f"/tmp/pcompress_ray_bench/pages_{N_BENCH_DOCS}"
-QUERY_NAMES = ["q1_pricing", "q3_top_orders", "customer_nation", "doc_stats",
-               "lang_id", "top_tokens", "events_hourly", "sessionize",
-               "ann_topk", "embedding_neardup", "exact_dup_docs",
-               # dedup_pairs FIRST among flagship-composed queries: its
-               # compute_pairs=True run populates the _dedup_clusters memo,
-               # which then serves dedup_clusters / delta_gain /
-               # dedup_recall_eval / cluster_explain without re-running
-               "cdc_chunks", "dedup_pairs", "dedup_clusters",
-               "content_type_stats",
-               "quality_scores", "lsh_ann_pairs", "ivf_topk",
-               "events_sliding", "hourly_active_users",
-               "top_orders_per_segment", "ngram_jaccard",
-               "embedding_clusters", "asof_purchase", "price_band_join",
-               "events_rollup", "lang_token_diversity",
-               "lang_length_quantiles", "dup_gain_by_source",
-               "corpus_sample", "event_gaps", "archive_stats", "file_type_stats",
-               "video_frames",
-               "delta_gain", "user_running_value", "user_first_last",
-               "gopher_quality", "top_bigrams", "tfidf_top_term",
-               "lm_quality", "decontaminate", "dataset_split",
-               "segment_dedup", "top_dup_segments", "pack_sequences",
-               "lang_temperature_sample", "intradoc_repetition", "pq_topk",
-               "url_dedup", "token_doc_freq", "length_buckets",
-               "shingle_novelty", "source_overlap", "corpus_fingerprint",
-               "stratified_sample", "pmi_bigrams", "cms_top_tokens",
-               "dedup_rewrite", "pii_redact", "heuristic_filter",
-               "bloom_dedup", "kmeans_clusters", "semdedup",
-               "weighted_sample", "substring_excise", "fuzzy_decontaminate",
-               "length_hist_quantiles", "snapshot_diff", "dup_span_coverage",
-               "bpe_merges", "bpe_token_counts", "dup_span_excise",
-               "dup_span_anchors", "cross_span_excise", "corpus_grep",
-               "hll_registers", "corpus_shuffle", "inverted_index",
-               "dedup_keep_best", "nb_classify", "warc_pages", "pagerank",
-               "domain_blocklist", "domain_stats", "event_window_dedup",
-               "ngram_containment", "line_dedup", "anchor_index",
-               "ctph_neardup", "key_skew", "bm25_topk", "corpus_merkle",
-               "crawl_schedule", "hits_scores", "robots_filter",
-               "ivfpq_topk", "cocitation", "kcenter_probes",
-               "curate_funnel", "span_corruption", "cdx_index",
-               "dedup_recall_eval", "norm_text_dedup",
-               "simhash_fingerprint", "simhash_hamming_pairs",
-               "dsir_weights", "dsir_sample", "incremental_neardup",
-               "soft_dedup_weights", "soft_cluster_weights", "lsh_plan",
-               "cluster_explain", "mirror_domains", "redirect_resolve",
-               "archive_roundtrip", "audio_features",
-               "customers_without_orders", "fingerprints",
-               "fixed_chunks", "image_features", "lang_stats",
-               "media_features", "minhash_signatures", "simhash_neardup",
-               "substring_spans"]
 
 
-def run_bench() -> dict:
+def run_leg() -> dict:
     import ray
 
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
@@ -94,8 +50,7 @@ def run_bench() -> dict:
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     from ray.data import DataContext
 
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
+    DataContext.get_current().enable_progress_bars = False
 
     import pcompress_ray
 
@@ -113,87 +68,27 @@ def run_bench() -> dict:
     # fake "work" (measured: 2x total CPU and 14x task-time variance with a
     # 2k-doc warm-up at 32 CPUs vs a full-width one).
     write_bench_corpus(BENCH_CORPUS_DIR, N_BENCH_DOCS)
-    # GRAFT_CC_EDGE_LIMIT=0 forces the distributed hook-and-shortcut
-    # components path (the true 100x-scale path) so it gets wall-time
-    # records, not just the equality test; unset = driver union-find
-    # below the configured edge gate, as in production defaults
-    cfg_kw = {} if CC_EDGE_LIMIT is None else \
-        {"cc_driver_edge_limit": int(CC_EDGE_LIMIT)}
-    cfg = PipelineConfig(sig_concurrency=max(2, NUM_CPUS // 2), **cfg_kw)
+    cc_limit = None if CC_EDGE_LIMIT is None else int(CC_EDGE_LIMIT)
+    cfg = PipelineConfig() if cc_limit is None else \
+        PipelineConfig(cc_driver_edge_limit=cc_limit)
     warm_docs = min(N_BENCH_DOCS, max(8000, 1000 * NUM_CPUS))
     warm = read_bench_corpus(BENCH_CORPUS_DIR).limit(warm_docs)
     dedup_pipeline(warm, cfg, compute_pairs=False).clusters.count()
 
-    # best-of-N headline (default 2): this host's external load arrives in
-    # waves that inflate a single sample 1.5-2x (documented in
-    # BENCH_LOCAL.md); the min of two back-to-back runs is a far better
-    # estimator of engine throughput. Scaling mode sets reps=1 — there the
-    # PAIR structure plus per-pair hw calibration handles the noise and
-    # each rep is a fresh process anyway.
-    reps = int(os.environ.get("GRAFT_BENCH_HEADLINE_REPS", "2"))
-    pages = read_bench_corpus(BENCH_CORPUS_DIR)
-    headline_runs = []
-    for _ in range(max(1, reps)):
-        t0 = time.time()
-        res = dedup_pipeline(pages, cfg, compute_pairs=False)
-        n_rows = res.clusters.count()
-        headline_runs.append(time.time() - t0)
-    headline = min(headline_runs)
-
-    # dedup-compressed archive build over the same corpus (non-headline)
-    from pcompress_ray.pipelines.archive import archive_write
-
     t0 = time.time()
-    arch = archive_write(pages, cfg, text_col="text")
-    archive_sec = round(time.time() - t0, 3)
-    archive_ratio = round(arch.metrics["overall_ratio"], 3)
-
-    # per-query timings over the sf dir (skip at scaling time)
-    queries = {}
-    recall = precision = None
-    if os.environ.get("GRAFT_BENCH_QUERIES", "1") == "1":
-        import __ray_entry__ as e
-
-        qs = e.queries()
-        for name in QUERY_NAMES:
-            t0 = time.time()
-            try:
-                out = qs[name](SF_DIR)
-                if name == "dedup_recall_eval":
-                    # north-rule quality metric alongside the throughput
-                    # numbers: dup-pair recall/precision of the flagship
-                    # vs exact ground truth (one summary row)
-                    rdf = out.to_pandas() if hasattr(out, "to_pandas") \
-                        else out
-                    recall = round(float(rdf["recall_e6"].iloc[0]) / 1e6, 6)
-                    precision = round(
-                        float(rdf["precision_e6"].iloc[0]) / 1e6, 6)
-                # consume (count) without driver materialization of payloads
-                elif hasattr(out, "count"):
-                    out.count()
-                else:
-                    len(out)
-                queries[name] = round(time.time() - t0, 3)
-            except Exception as ex:  # pragma: no cover
-                queries[name] = f"error: {type(ex).__name__}"
-
+    res = dedup_pipeline(read_bench_corpus(BENCH_CORPUS_DIR), cfg,
+                         compute_pairs=False)
+    n_rows = res.clusters.count()
+    sec = time.time() - t0
     ray.shutdown()
     return {
         "metric": "near-dup dedup pipeline wall time over synthetic pages corpus",
-        "value": round(headline, 3),
+        "value": round(sec, 3),
         "unit": "sec",
-        "headline_runs": [round(x, 3) for x in headline_runs],
-        "queries": queries,
-        "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
         "bench_docs": N_BENCH_DOCS,
-        "docs_per_sec": round(N_BENCH_DOCS / headline, 1),
-        "dup_pair_recall": recall,
-        "dup_pair_precision": precision,
+        "docs_per_sec": round(N_BENCH_DOCS / sec, 1),
         "cluster_rows": int(n_rows),
-        "archive_sec": archive_sec,
-        "archive_docs_per_sec": round(N_BENCH_DOCS / archive_sec, 1),
-        "archive_ratio": archive_ratio,
         "cc_edge_limit": cc_limit,
     }
 
@@ -273,8 +168,7 @@ def run_scaling():
 
     def run(ncpu: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
-                   GRAFT_BENCH_QUERIES="0", GRAFT_BENCH_DOCS=ndocs,
-                   GRAFT_BENCH_HEADLINE_REPS="1")
+                   GRAFT_BENCH_DOCS=ndocs)
         out = subprocess.run([sys.executable, os.path.abspath(__file__)],
                              env=env, capture_output=True, text=True)
         if out.returncode != 0:
@@ -345,4 +239,4 @@ if __name__ == "__main__":
     if "--scaling" in sys.argv:
         run_scaling()
     else:
-        print(json.dumps(run_bench()))
+        print(json.dumps(run_leg()))

@@ -111,8 +111,6 @@ class PipelineConfig:
 
     # Execution
     batch_size: int = 256                  # rows per batch for heavy text stages
-    sig_concurrency: int | tuple = 8       # actor pool size for the signature stage
-    sig_use_actors: bool = False           # True → actor pool (heavy per-actor state)
     join_buckets: int = 32                 # buckets for the partitioned hash join
     cc_driver_edge_limit: int = 5_000_000  # ≤ this many edges → driver union-find
 
@@ -165,9 +163,11 @@ class PipelineConfig:
     def config_hash(self) -> str:
         """Stable hash of semantic config — used to key checkpoints."""
         d = asdict(self)
-        d["sig_concurrency"] = None  # execution-only knobs excluded
+        # two deleted execution-only fields stay in the hashed JSON as None,
+        # so the hash — and every existing checkpoint key — is unchanged
+        d["sig_concurrency"] = None
         d["sig_use_actors"] = None
-        d["batch_size"] = None
+        d["batch_size"] = None  # execution-only knobs excluded
         d["join_buckets"] = None
         d["cc_driver_edge_limit"] = None
         d["verify_broadcast_bytes"] = None

@@ -70,30 +70,19 @@ def build_signatures(pages_ds, cfg: PipelineConfig, stop_ref=None):
     # "rabin" (CDC) by default, "fixed" = the reference's -F mode
     ds = ds.map_batches(resolve("chunker", cfg.chunker)(cfg),
                         batch_format="pyarrow", batch_size=cfg.batch_size)
-    if getattr(cfg, "sig_use_actors", False):
-        conc = cfg.sig_concurrency
-        if isinstance(conc, int):
-            conc = (1, conc)  # autoscale: don't reserve idle actors
-        ds = ds.map_batches(SignatureStage,
-                            fn_constructor_kwargs={"cfg": cfg,
-                                                   "stop_ref": stop_ref},
-                            batch_format="pyarrow", batch_size=cfg.batch_size,
-                            concurrency=conc)
-    else:
-        # stateless tasks + per-worker-process instance cache: same
-        # setup-once-per-worker semantics as an actor pool (T3), but reuses
-        # Ray's long-lived task workers — actors are fresh processes per
-        # execution and pay this sandbox's slow first-touch warm-up each run.
-        # Use sig_use_actors=True when per-actor state is genuinely heavy
-        # (models); the MinHash tables are rebuilt in ~1 ms.
-        def sig_fn(batch: pa.Table, _cache: dict = {}) -> pa.Table:
-            stage = _cache.get("stage")
-            if stage is None:
-                stage = _cache["stage"] = SignatureStage(cfg, stop_ref=stop_ref)
-            return stage(batch)
+    # stateless tasks + per-worker-process instance cache: same
+    # setup-once-per-worker semantics as an actor pool (T3), but reuses
+    # Ray's long-lived task workers — actors are fresh processes per
+    # execution and pay a slow first-touch warm-up each run, while the
+    # MinHash tables are rebuilt in ~1 ms.
+    def sig_fn(batch: pa.Table, _cache: dict = {}) -> pa.Table:
+        stage = _cache.get("stage")
+        if stage is None:
+            stage = _cache["stage"] = SignatureStage(cfg, stop_ref=stop_ref)
+        return stage(batch)
 
-        ds = ds.map_batches(sig_fn, batch_format="pyarrow",
-                            batch_size=cfg.batch_size)
+    ds = ds.map_batches(sig_fn, batch_format="pyarrow",
+                        batch_size=cfg.batch_size)
     return ds.select_columns(SIG_COLUMNS)
 
 

@@ -13,8 +13,8 @@ Document-level reimplementation of the reference's similarity machinery:
   later explode + groupby (the shuffle replaces index.c's shared hashtable).
 
 Stateful-stage shape (SURVEY §2.3 T3, create_dedupe_context analog): the
-permutation table is built once per actor in ``__init__`` and reused across
-batches — pass the class to ``map_batches(SignatureStage, concurrency=N)``.
+permutation table is built once in ``__init__`` and reused across batches —
+``build_signatures`` keeps one instance per worker process.
 """
 
 from __future__ import annotations
@@ -116,7 +116,10 @@ def _u64_list_array(mat: np.ndarray) -> pa.Array:
 
 
 class SignatureStage:
-    """map_batches actor stage: text_norm → minhash, bands, simhash, kmv.
+    """Signature stage: text_norm → minhash, bands, simhash, kmv.
+
+    ``build_signatures`` runs it as a stateless ``map_batches`` task with
+    one cached instance per worker process (no actor pool).
 
     Output columns appended:
       - ``n_tokens:int32``

@@ -32,7 +32,7 @@ def test_cluster_explain_planted(ray_session):
                       "text": pa.array([r[1] for r in rows]),
                       "rank": pa.array(range(len(rows)), pa.int64())})
     res = dedup_pipeline(rd.from_arrow(pages).repartition(3),
-                         PipelineConfig(sig_concurrency=2),
+                         PipelineConfig(),
                          compute_pairs=False)
     out = cluster_explain(res, top=3).to_pandas()
 
@@ -74,7 +74,7 @@ def test_cluster_explain_member_cap(ray_session):
                       "text": pa.array([r[1] for r in rows]),
                       "rank": pa.array(range(len(rows)), pa.int64())})
     res = dedup_pipeline(rd.from_arrow(pages).repartition(3),
-                         PipelineConfig(sig_concurrency=2),
+                         PipelineConfig(),
                          compute_pairs=False)
     full = cluster_explain(res, top=2).to_pandas()
     capped = cluster_explain(res, top=2, member_cap=4).to_pandas()
@@ -115,7 +115,7 @@ def test_cluster_explain_no_dups(ray_session):
         "text": pa.array([_words(50 + i, 100) for i in range(5)]),
         "rank": pa.array(range(5), pa.int64())})
     res = dedup_pipeline(rd.from_arrow(pages),
-                         PipelineConfig(sig_concurrency=2),
+                         PipelineConfig(),
                          compute_pairs=False)
     out = cluster_explain(res, top=3)
     assert out.num_rows == 0

@@ -48,7 +48,7 @@ def test_curate_funnel(ray_session):
     })
     bench = rd.from_arrow(pa.table({"text": pa.array([bench_text])}))
 
-    cfg = PipelineConfig(sig_concurrency=2)
+    cfg = PipelineConfig()
     res = curate_pipeline(rd.from_arrow(pages).repartition(3), cfg,
                           benchmark_ds=bench)
     f = res.funnel
@@ -97,7 +97,7 @@ def test_curate_parallelism_invariance(ray_session):
     outs = []
     for nblocks in (2, 7):
         res = curate_pipeline(rd.from_arrow(pages).repartition(nblocks),
-                              PipelineConfig(sig_concurrency=2))
+                              PipelineConfig())
         outs.append((res.funnel,
                      res.curated.to_pandas().sort_values("url")
                      .reset_index(drop=True)))
@@ -130,7 +130,7 @@ def test_curate_checkpoint_resume(ray_session, tmp_path):
     rows.append(("http://siteB.com/copy", boiler + "\n" + bodies[1]))
     pages = pa.table({"url": pa.array([r[0] for r in rows]),
                       "text": pa.array([r[1] for r in rows])})
-    cfg = PipelineConfig(sig_concurrency=2)
+    cfg = PipelineConfig()
     ckdir = str(tmp_path / "funnel_ck")
 
     res1 = curate_pipeline(rd.from_arrow(pages).repartition(3), cfg,

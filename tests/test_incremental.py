@@ -153,3 +153,9 @@ def test_two_chained_increments_match_full_recompute(ray_session):
                       suffixes=("_g1", "_g2"))
     assert (merged.cluster_id_g1 == merged.cluster_id_g2).all()
     assert (merged.is_canonical_g1 == merged.is_canonical_g2).all()
+
+
+def test_default_config_hash_is_stable():
+    """Checkpoints are keyed by config_hash(); deleting execution-only
+    fields must not change it, or existing checkpoints stop resuming."""
+    assert PipelineConfig().config_hash() == "d01fed1608971045"

@@ -88,8 +88,8 @@ def test_config_for_threshold():
     assert c8.lsh_bands * c8.lsh_rows == 128      # exact factorization
     assert c8.lsh_rows > 4                        # tighter -> sharper curve
     # execution overrides pass through
-    c2 = PipelineConfig.for_threshold(0.5, sig_concurrency=2)
-    assert c2.sig_concurrency == 2
+    c2 = PipelineConfig.for_threshold(0.5, batch_size=2)
+    assert c2.batch_size == 2
     # thresholds off the grid snap to it instead of raising (1/3 -> 33/100)
     c3 = PipelineConfig.for_threshold(Fraction(1, 3))
     assert c3.lsh_bands * c3.lsh_rows == 128

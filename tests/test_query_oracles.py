@@ -2,10 +2,22 @@
 query at sf0.001 (fast), including the dtype-family guard the driver's
 value-hash implies (int64 2059 vs float64 2059.0 hash differently, so
 `check_dtype=False` alone is NOT enough — this exact bug class shipped in
-rounds 1 AND 2 via DuckDB HUGEINT window sums arriving as float64)."""
+rounds 1 AND 2 via DuckDB HUGEINT window sums arriving as float64).
+
+Every query's output is also frozen in ``golden/query_outputs_sf0.001.json``:
+row count, exact pandas dtypes and a sha256 of the canonical CSV (the
+``tools/check_queries.canon`` form). Oracle-backed queries are checked
+against it inside ``test_query_matches_oracle``; the rows-only ones by
+``test_query_matches_frozen_output``. A query whose digest differed between
+two fresh generator runs is frozen with ``sha256: null`` (rows and dtypes
+only). Regenerate with ``python tests/test_query_oracles.py`` (writes the
+fixture; pass ``--check OTHER.json`` to null the digests that differ from
+another run's output)."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -21,6 +33,29 @@ import __ray_entry__ as e  # noqa: E402  (no ray.init at import time)
 SF_DIR = "/root/testdata/sf0.001"
 
 ORACLED = sorted(e.oracle_sql().keys())
+FROZEN_PATH = Path(__file__).parent / "golden" / "query_outputs_sf0.001.json"
+
+
+def _fingerprint(df: pd.DataFrame) -> dict:
+    from tools.check_queries import canon
+
+    csv = canon(df).to_csv(index=False).encode()
+    return {"rows": len(df),
+            "dtypes": {c: str(df[c].dtype) for c in df.columns},
+            "sha256": hashlib.sha256(csv).hexdigest()}
+
+
+def _assert_frozen(name: str, df: pd.DataFrame):
+    want = json.loads(FROZEN_PATH.read_text())[name]
+    got = _fingerprint(df)
+    if want["sha256"] is None:  # not reproducible run to run: shape only
+        got["sha256"] = None
+    assert got == want, f"{name}: output drifted from the frozen fixture"
+
+
+def _run(name: str) -> pd.DataFrame:
+    got = e.queries()[name](SF_DIR)
+    return got if isinstance(got, pd.DataFrame) else got.to_pandas()
 
 
 def _oracle(sql: str) -> pd.DataFrame:
@@ -45,12 +80,8 @@ def _family(dtype) -> str:
 
 @pytest.mark.parametrize("name", ORACLED)
 def test_query_matches_oracle(ray_session, name):
-    import pcompress_ray
-
-    pcompress_ray.register_for_ray()
-
-    got = e.queries()[name](SF_DIR)
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
+    got = _run(name)
+    _assert_frozen(name, got)
     want = _oracle(e.oracle_sql()[name])
 
     assert sorted(got.columns) == sorted(want.columns)
@@ -64,3 +95,35 @@ def test_query_matches_oracle(ray_session, name):
         f"got={list(zip(cols, fams_g))} want={list(zip(cols, fams_w))}"
     )
     pd.testing.assert_frame_equal(g, w, check_dtype=False)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in e.queries() if n not in e.oracle_sql()])
+def test_query_matches_frozen_output(ray_session, name):
+    _assert_frozen(name, _run(name))
+
+
+def _freeze(argv: list[str]) -> int:
+    """Run every query once and write the fixture. With ``--check
+    OTHER.json`` (a fixture written by an earlier, separate process),
+    digests that differ from OTHER's are written as null."""
+    import ray
+
+    ray.init(address="local", num_cpus=4, include_dashboard=False,
+             logging_level="ERROR")
+    try:
+        out = {name: _fingerprint(_run(name)) for name in e.queries()}
+    finally:
+        ray.shutdown()
+    if argv[:1] == ["--check"]:
+        other = json.loads(Path(argv[1]).read_text())
+        for name, fp in out.items():
+            if fp["sha256"] != other[name]["sha256"]:
+                print(f"unstable digest: {name}")
+                fp["sha256"] = None
+    FROZEN_PATH.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_freeze(sys.argv[1:]))
