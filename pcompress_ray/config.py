@@ -61,7 +61,6 @@ class PipelineConfig:
 
     # Candidate generation skew control (SURVEY §4 "Skew")
     bucket_cap: int = 64                   # max docs per (band, hash) bucket before salting
-    max_pairs_per_bucket: int = 2048
 
     # Verification
     jaccard_threshold: float = 0.7         # operating threshold for near-dup edges
@@ -163,10 +162,13 @@ class PipelineConfig:
     def config_hash(self) -> str:
         """Stable hash of semantic config — used to key checkpoints."""
         d = asdict(self)
-        # two deleted execution-only fields stay in the hashed JSON as None,
-        # so the hash — and every existing checkpoint key — is unchanged
+        # deleted fields stay in the hashed JSON with the value they had
+        # (None for the two execution-only ones, 2048 for the pair cap that
+        # no default bucket could reach), so the hash — and every existing
+        # checkpoint key — is unchanged
         d["sig_concurrency"] = None
         d["sig_use_actors"] = None
+        d["max_pairs_per_bucket"] = 2048
         d["batch_size"] = None  # execution-only knobs excluded
         d["join_buckets"] = None
         d["cc_driver_edge_limit"] = None

@@ -6,7 +6,10 @@ semaphore ring. Here every keyed operator is one data-parallel exchange:
 
 - ``exchange``: the hash-exchange primitive. It takes several Datasets,
   with key columns per input; all rows whose keys hash to the same
-  partition reach one ``fn`` call, as one Arrow table per input.
+  partition reach one ``fn`` call, as one Arrow table per input. Its raw
+  slicer and reducer tasks are the only exchange path; their in-flight
+  input bytes are bounded by a share of the object store, so inputs
+  larger than the store exchange through spill.
 - ``grouped_partitions`` / ``fast_grouped_partitions``: the single-input
   form, handing ``fn`` one pandas DataFrame per partition.
 - ``hash_join``, ``asof_join``, ``band_join_count``: two-input exchanges;
@@ -15,11 +18,13 @@ semaphore ring. Here every keyed operator is one data-parallel exchange:
 - ``broadcast_join`` / ``semi_join_filter``: small side materialized once,
   ``ray.put`` once, probed inside ``map_batches`` per big-side batch — no
   shuffle (SURVEY guide: broadcast-small-side).
-- ``zip_with_rank``: global ordering key via sort + per-block offsets (two
-  passes, no driver materialization).
+- ``zip_with_rank``: global ordering key via sort + per-block offsets from
+  the sorted blocks' metadata (no driver materialization).
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 import pandas as pd
@@ -31,16 +36,6 @@ _SALT = np.uint64(0xA5A5A5A55A5A5A5A)
 # slicer tasks per exchange: the driver holds at most this many × (P + 1)
 # object refs, whatever the input block count
 _MAX_SLICERS = 64
-
-
-def _null_array(n: int, typ) -> pa.Array:
-    """All-null array with REAL buffers.
-
-    ``pa.nulls(n, type)`` builds buffer-less arrays that segfault Arrow's
-    table validation in this environment; materializing through a python
-    list allocates proper validity+data buffers.
-    """
-    return pa.array([None] * n, type=typ)
 
 
 def _col_hash_u64(col) -> np.ndarray:
@@ -83,24 +78,13 @@ def _apply(fn, tables: list) -> pa.Table:
     return r.replace_schema_metadata(None)
 
 
-_EXCHANGE_BUDGET: dict = {}   # {driver node id: bytes | None}, one entry
-
-
-def _default_exchange_budget():
-    """20% of the cluster object store, cached per running cluster —
-    cluster_resources() is an RPC and this runs once per exchange call
-    otherwise. The key is the driver's node id, which every ray.init()
-    makes anew, so a re-init with another store size is re-read."""
+def _inflight_cap() -> int:
+    """Input bytes that an exchange's submitted, unfinished tasks may hold
+    at once: 20% of the cluster object store, read once per exchange call
+    (an RPC of well under a millisecond, so nothing is cached)."""
     import ray
 
-    if not ray.is_initialized():
-        return None
-    key = ray.get_runtime_context().get_node_id()
-    if key not in _EXCHANGE_BUDGET:
-        store = ray.cluster_resources().get("object_store_memory")
-        _EXCHANGE_BUDGET.clear()
-        _EXCHANGE_BUDGET[key] = int(store * 0.2) if store else None
-    return _EXCHANGE_BUDGET[key]
+    return int(ray.cluster_resources()["object_store_memory"] * 0.2)
 
 
 def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
@@ -115,31 +99,44 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
     a Dataset of those outputs. When no input has a row, ``fn`` runs once
     on the empty tables, so the result still carries its typed schema
     (unless an input has no schema at all, e.g. an empty Dataset that Ray
-    repartitioned).
+    repartitioned or filtered to nothing: then the result has no schema
+    either). An input with no schema next to another input's rows raises
+    ``ValueError``, since ``fn`` could not be handed its columns.
 
-    Fast path: G slicer tasks per input (hash keys → slice each block into
-    n_parts sub-tables, zero-copy plasma reads) + one reducer task per
+    Up to 64 slicer tasks in all (hash keys → slice their blocks into
+    n_parts sub-tables, zero-copy plasma reads), then one reducer task per
     non-empty partition (concat + ``fn``). It reads each input's own block
     refs — no union, no sort machinery, whose fixed cost (executor launch,
     sampling, a sort task per block) dominates exchanges of many small
     blocks (the 3-way edge union at 40k docs: ~4.3 s of pure overhead for
     250k rows, vs ~0.5 s here).
 
-    Byte budget: the fast path holds input blocks + their slices + reducer
-    concats in the object store SIMULTANEOUSLY, with no streaming
-    backpressure (~3× input bytes in flight). Past 20% of the cluster's
-    object store (so the transient stays under ~60%), eager dispatch can
-    outrun spill — observed as ``OutOfDiskError`` in a slicer at 1.44M docs
-    on a 14 GB corpus against a 37.6 GiB store (BENCH_LOCAL.md round 5) —
-    so larger inputs take the streaming Dataset groupby instead.
+    Backpressure: tasks are submitted in order, slicers then reducers, and
+    before each one the input bytes of the tasks submitted but not yet
+    finished, plus its own, must fit 20% of the cluster object store;
+    until they do, the oldest unfinished task is waited for (a task larger
+    than that runs alone). A slicer's bytes come from its blocks' metadata,
+    a reducer's from the per-partition slice bytes the slicers return.
+    Without it, eager dispatch of every task outran spill (``OutOfDiskError``
+    in a slicer at 1.44M docs on a 14 GB corpus against a 37.6 GiB store,
+    BENCH_LOCAL.md round 5); with it, inputs several times the store size
+    exchange through spill.
     """
     import ray
     import ray.data as rd
 
-    mats = [ds.materialize() for ds in inputs]
-    budget = _default_exchange_budget()
-    if budget is not None and sum(m.size_bytes() for m in mats) > budget:
-        return _stream_exchange(mats, keys, fn, n_parts)
+    bundles = [list(ds.materialize().iter_internal_ref_bundles())
+               for ds in inputs]
+    blocks = [[b for bu in bs for b in bu.blocks] for bs in bundles]
+    n_rows = [sum(md.num_rows or 0 for _, md in bl) for bl in blocks]
+    for i, bs in enumerate(bundles):
+        if sum(n_rows) > n_rows[i] and not any(
+                getattr(bu.schema, "names", None) for bu in bs):
+            raise ValueError(
+                f"exchange input {i} is empty and has no schema (Ray Data "
+                "drops it when it repartitions or filters away every row), "
+                "but another input has rows, so fn cannot be handed its "
+                "columns")
 
     def slicer(key_cols, *blocks):
         tabs = [_arrow(b) for b in blocks]
@@ -158,7 +155,7 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
             counts += np.diff(bounds)
         out = [pa.concat_tables(ps, promote_options="permissive") if ps
                else empty for ps in parts]
-        return (*out, counts)
+        return (*out, np.stack([counts, [t.nbytes for t in out]]))
 
     def reducer(sizes, *slices):
         tables, i = [], 0
@@ -172,70 +169,41 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
             return pa.table({})  # no rows, and no schema to hand fn
         return _apply(fn, tables)
 
+    cap = _inflight_cap()
+    flight, held = deque(), 0
+
+    def submit(nbytes: int, task, *args):
+        # the docstring's backpressure; a task's last return is ready once
+        # the task has finished
+        nonlocal held
+        while flight and held + nbytes > cap:
+            ref, b = flight.popleft()
+            ray.wait([ref], fetch_local=False)
+            held -= b
+        out = task.remote(*args)
+        flight.append((out[-1] if isinstance(out, list) else out, nbytes))
+        held += nbytes
+        return out
+
     rem = ray.remote(slicer).options(num_returns=n_parts + 1)
-    per_input = max(1, _MAX_SLICERS // len(mats))
+    per_input = max(1, _MAX_SLICERS // len(inputs))
     slices = []
-    for m, key_cols in zip(mats, keys):
-        refs = materialized_block_refs(m)
-        groups = np.array_split(np.arange(len(refs)),
-                                min(len(refs), per_input)) if refs else []
-        slices.append([rem.remote(key_cols, *[refs[i] for i in g])
+    for bl, key_cols in zip(blocks, keys):
+        groups = np.array_split(np.arange(len(bl)),
+                                min(len(bl), per_input)) if bl else []
+        slices.append([submit(sum(bl[i][1].size_bytes for i in g), rem,
+                              key_cols, *[bl[i][0] for i in g])
                        for g in groups])
-    counts = np.zeros(n_parts, dtype=np.int64)
-    for c in ray.get([s[n_parts] for ss in slices for s in ss]):
-        counts += c
+    stats = np.zeros((2, n_parts), dtype=np.int64)  # rows, bytes
+    for s in ray.get([s[n_parts] for ss in slices for s in ss]):
+        stats += s
+    counts, part_bytes = stats
     sizes = [len(ss) for ss in slices]
     red = ray.remote(reducer)
     return rd.from_arrow_refs([
-        red.remote(sizes, *[s[p] for ss in slices for s in ss])
+        submit(int(part_bytes[p]), red, sizes,
+               *[s[p] for ss in slices for s in ss])
         for p in (np.flatnonzero(counts) if counts.any() else [0])])
-
-
-def _stream_exchange(mats: list, keys: list[list[str]], fn, n_parts: int):
-    """``exchange`` on the streaming Dataset groupby, for inputs past the
-    byte budget: each input's rows are tagged with their partition and
-    input index and padded to one shared schema (input i's column c as
-    ``"i.c"``), the inputs are unioned, one sort-based groupby co-locates
-    partitions (backpressured, spilling gracefully), and each group is
-    split back into one table per input for ``fn``."""
-    import ray
-
-    def unified_schema(*blocks):
-        return pa.unify_schemas([_arrow(b).schema for b in blocks],
-                                promote_options="permissive")
-
-    probe = ray.remote(unified_schema)
-    schemas = ray.get([probe.remote(*materialized_block_refs(m))
-                       for m in mats])
-
-    def tag(i: int):
-        def f(t: pa.Table) -> pa.Table:
-            t = t.replace_schema_metadata(None)
-            n = len(t)
-            cols = {"__part": pa.array(_partition_ids(
-                        [t[c] for c in keys[i]], n_parts).astype(np.int32)),
-                    "__side": pa.array(np.full(n, i, np.int8))}
-            for j, s in enumerate(schemas):
-                for fld in s:
-                    cols[f"{j}.{fld.name}"] = (
-                        t[fld.name].cast(fld.type)
-                        if j == i and fld.name in t.column_names
-                        else _null_array(n, fld.type))
-            return pa.table(cols)
-        return f
-
-    def run(g: pa.Table) -> pa.Table:
-        side = g["__side"].to_numpy()
-        return _apply(fn, [
-            g.filter(pa.array(side == j))
-             .select([f"{j}.{name}" for name in s.names])
-             .rename_columns(s.names)
-            for j, s in enumerate(schemas)])
-
-    tagged = [m.map_batches(tag(i), batch_format="pyarrow")
-              for i, m in enumerate(mats)]
-    u = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return u.groupby("__part").map_groups(run, batch_format="pyarrow")
 
 
 def fast_grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64):
@@ -529,19 +497,17 @@ def block_rounds(ds, fn) -> list:
 
 
 def zip_with_rank(ds, sort_key: str, rank_col: str = "rank"):
-    """Dense global rank by sort_key: sort, then two-pass block-offset scan.
+    """Dense global rank by sort_key: sort, then add each block's offset.
 
-    Pass 1 collects per-block counts (tiny); pass 2 adds cumulative offsets.
-    The ordering key replaces the reference's stream-offset ordering (T5).
+    The offsets are cumulative row counts from the sorted blocks' metadata,
+    so only the rank-adding pass runs tasks. The ordering key replaces the
+    reference's stream-offset ordering (T5).
     """
     import ray
     import ray.data as rd
 
-    block_refs = materialized_block_refs(ds.sort(sort_key).materialize())
-
-    @ray.remote
-    def count_rows(block):
-        return len(block)
+    blocks = [b for bu in ds.sort(sort_key).materialize()
+              .iter_internal_ref_bundles() for b in bu.blocks]
 
     @ray.remote
     def add_rank(block, off):
@@ -550,10 +516,9 @@ def zip_with_rank(ds, sort_key: str, rank_col: str = "rank"):
         return t.append_column(rank_col,
                                pa.array(np.arange(off, off + len(t), dtype=np.int64)))
 
-    counts = ray.get([count_rows.remote(r) for r in block_refs])
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]) if counts else []
-    new_blocks = [add_rank.remote(r, int(o)) for r, o in zip(block_refs, offsets)]
-    return rd.from_arrow_refs(new_blocks)
+    offsets = np.cumsum([0] + [md.num_rows for _, md in blocks[:-1]])
+    return rd.from_arrow_refs([add_rank.remote(r, int(o))
+                               for (r, _), o in zip(blocks, offsets)])
 
 
 def skew_report(ds, key_col: str, n_buckets: int = 64, n_parts: int = 32):

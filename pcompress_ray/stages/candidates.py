@@ -13,8 +13,8 @@ Skew handling (SURVEY §4 "Skew" — explicit design):
   splitmix64(rank) into sub-buckets of ≤ bucket_cap; each sub-bucket emits
   all pairs, and every sub-bucket representative links to the global
   min-rank member. Connectivity (cluster recall) is preserved through
-  transitivity; pair count stays linear in group size.
-- a hard ``max_pairs_per_bucket`` cap bounds the worst case.
+  transitivity; pair count stays linear in group size, and no pair of a
+  window is ever dropped.
 """
 
 from __future__ import annotations
@@ -60,13 +60,9 @@ def explode_bands(sig_ds):
                  .map_batches(explode, batch_format="pyarrow")
 
 
-def _pairs_within(ranks: np.ndarray, cap_pairs: int):
-    """All unordered pairs of a (sorted) rank array, capped."""
-    m = ranks.size
-    n_pairs = m * (m - 1) // 2
-    a_idx, b_idx = np.triu_indices(m, k=1)
-    if n_pairs > cap_pairs:
-        a_idx, b_idx = a_idx[:cap_pairs], b_idx[:cap_pairs]
+def _pairs_within(ranks: np.ndarray):
+    """All unordered pairs of a (sorted) rank array."""
+    a_idx, b_idx = np.triu_indices(ranks.size, k=1)
     return ranks[a_idx], ranks[b_idx]
 
 
@@ -88,7 +84,7 @@ def _salted_pairs(r: np.ndarray, cfg: PipelineConfig):
         rs = r[s0 : s0 + cap]
         reps.append(rs[0])
         if rs.size >= 2:
-            aa, bb = _pairs_within(rs, cfg.max_pairs_per_bucket)
+            aa, bb = _pairs_within(rs)
             parts_a.append(aa); parts_b.append(bb)
     reps = np.asarray(reps, dtype=np.int64)
     gmin = r[0]
@@ -134,7 +130,7 @@ def band_partition_pairs(cfg: PipelineConfig):
         for s_idx, m in zip(starts[sizes >= 3], sizes[sizes >= 3]):
             rs = r[s_idx : s_idx + int(m)]
             if m <= cfg.bucket_cap:
-                aa, bb = _pairs_within(rs, cfg.max_pairs_per_bucket)
+                aa, bb = _pairs_within(rs)
             else:
                 aa, bb = _salted_pairs(rs, cfg)
             out_a.append(aa); out_b.append(bb)

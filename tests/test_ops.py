@@ -1,11 +1,6 @@
 """Unit tests for the generic distributed operators (functions/ops.py) and
 connected components."""
 
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -282,10 +277,9 @@ def test_fast_grouped_partitions_matches_sort_path(rds):
 
 
 def test_fast_grouped_partitions_byte_budget_fallback(rds, monkeypatch):
-    """An input past the object-store byte budget must route to the
-    streaming sort exchange (the backpressured path that cannot hit the
-    eager-dispatch OutOfDiskError) and still honor the co-location
-    contract bit for bit."""
+    """With an in-flight byte cap of 1 byte every slicer and reducer task is
+    dispatched alone (each waits for the one before it), and the exchange
+    still honors the co-location contract bit for bit."""
     from pcompress_ray.functions import ops
 
     _gp_fn = _make_gp_fn()
@@ -295,39 +289,14 @@ def test_fast_grouped_partitions_byte_budget_fallback(rds, monkeypatch):
     fast = ops.fast_grouped_partitions(rds.from_pandas(df).repartition(5),
                                        ["k"], _gp_fn, n_parts=7) \
         .to_pandas().sort_values("k").reset_index(drop=True)
-    # a 1-byte budget forces the streaming path
-    monkeypatch.setattr(ops, "_default_exchange_budget", lambda: 1)
+    monkeypatch.setattr(ops, "_inflight_cap", lambda: 1)
     forced = ops.fast_grouped_partitions(rds.from_pandas(df).repartition(5),
-                                         ["k"], _gp_fn, n_parts=7)
-    assert not isinstance(forced, rds.dataset.MaterializedDataset)
-    forced = forced.to_pandas().sort_values("k").reset_index(drop=True)
+                                         ["k"], _gp_fn, n_parts=7) \
+        .to_pandas().sort_values("k").reset_index(drop=True)
     ref = df.groupby("k", as_index=False).agg(s=("v", "sum"), n=("v", "size"))
     ref = ref.sort_values("k").reset_index(drop=True)
     pd.testing.assert_frame_equal(forced.astype(ref.dtypes.to_dict()), ref)
     pd.testing.assert_frame_equal(fast.astype(ref.dtypes.to_dict()), ref)
-
-
-def test_exchange_budget_follows_reinit():
-    """The cached exchange byte budget belongs to the running cluster: a
-    ray.shutdown() + ray.init() with another object store size re-reads it
-    (run in a subprocess, away from the session's Ray)."""
-    script = """
-import json
-import ray
-from pcompress_ray.functions.ops import _default_exchange_budget
-got = []
-for store in (80 * 2**20, 160 * 2**20):
-    ray.init(address="local", num_cpus=1, object_store_memory=store,
-             include_dashboard=False, logging_level="ERROR")
-    got.append((store, _default_exchange_budget()))
-    ray.shutdown()
-print(json.dumps(got))
-"""
-    out = subprocess.run([sys.executable, "-c", script], check=True,
-                         capture_output=True, text=True, timeout=300,
-                         cwd=os.path.dirname(os.path.dirname(__file__)))
-    got = json.loads(out.stdout.strip().splitlines()[-1])
-    assert [b for _, b in got] == [int(s * 0.2) for s, _ in got]
 
 
 def test_fast_grouped_partitions_string_keys_and_pandas_fn(rds):
@@ -402,6 +371,28 @@ def test_exchange_multi_input(rds):
     assert list(schema.types) == [pa.uint64(), pa.int64(), pa.int64()]
 
 
+def test_exchange_schemaless_empty_input(rds):
+    """Ray Data drops the schema of an input that a filter emptied. Next to
+    another input's rows the exchange raises a ValueError naming that input
+    instead of handing ``fn`` a table without columns; when every input is
+    empty, there is nothing to hand ``fn`` and the result is empty."""
+    from pcompress_ray.functions.ops import exchange
+
+    def matched(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return pa.table({"k": lt["k"],
+                         "hit": pa.array(np.isin(lt["k"], rt["k"]))})
+
+    def emptied():
+        return rds.from_arrow(pa.table({"k": np.arange(10)})) \
+            .filter(lambda r: r["k"] < 0)
+
+    left = rds.from_arrow(pa.table({"k": np.arange(10)}))
+    with pytest.raises(ValueError, match="input 1"):
+        exchange([left, emptied()], [["k"], ["k"]], matched, n_parts=4)
+    out = exchange([emptied(), emptied()], [["k"], ["k"]], matched, n_parts=4)
+    assert out.count() == 0
+
+
 @pytest.mark.parametrize("case", [
     test_hash_join_matches_pandas, test_hash_join_left_outer,
     test_asof_join_matches_pandas_merge_asof,
@@ -413,9 +404,10 @@ def test_exchange_multi_input(rds):
     test_exchange_multi_input,
 ], ids=lambda f: f.__name__[len("test_"):])
 def test_streaming_exchange_path(rds, monkeypatch, case):
-    """Each exchange test above, again with a 1-byte budget that forces
-    the streaming path: both paths give the same results."""
+    """Each exchange test above, again with an in-flight byte cap of 1 byte,
+    so every slicer and reducer task is dispatched alone: the results do
+    not depend on how many tasks run at once."""
     from pcompress_ray.functions import ops
 
-    monkeypatch.setattr(ops, "_default_exchange_budget", lambda: 1)
+    monkeypatch.setattr(ops, "_inflight_cap", lambda: 1)
     case(rds)

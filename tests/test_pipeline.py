@@ -328,3 +328,17 @@ def test_union_edges_blocks_keep_columns(ray_session, tmp_path, caplog):
     assert blocks and edges.count() > 0
     for b in blocks:
         assert list(b.column_names) == ["a", "b", "kind", "jaccard"]
+
+
+def test_bucket_at_cap_emits_every_pair():
+    """A bucket of ``bucket_cap`` members emits all of its pairs: one
+    100-member bucket under bucket_cap=100 gives C(100, 2) = 4,950."""
+    from pcompress_ray.stages.candidates import band_partition_pairs
+
+    part = pd.DataFrame({"band_id": np.zeros(100, np.int32),
+                         "band_hash": np.full(100, 7, np.uint64),
+                         "rank": np.arange(100, dtype=np.int64)})
+    got = band_partition_pairs(PipelineConfig(bucket_cap=100))(part)
+    assert len(got) == 4950
+    assert (got["a"] < got["b"]).all()
+    assert len(got.drop_duplicates()) == 4950
