@@ -3508,9 +3508,10 @@ def q_pagerank(sf_dir: str, iters: int = 5):
     LEFT JOIN.
 
     Execution: one BSP engine round per iteration (functions/bsp.py) over
-    16 doc_id % 16 state blocks — emit sums contributions per destination
-    inside each block (≤ N rows cross the wire regardless of edge count),
-    combine sums them per doc_id and damps. int64 sums are
+    P doc_id % P state blocks (P from the state's bytes, at most 16) —
+    emit sums contributions per destination inside each block (≤ N rows
+    cross the wire regardless of edge count), combine sums them per doc_id
+    and damps. int64 sums are
     order-independent, so this is bit identical to a per-round Dataset
     groupby-sum, without a streaming-executor launch in the loop."""
     import ray
@@ -3521,8 +3522,8 @@ def q_pagerank(sf_dir: str, iters: int = 5):
 
     n = _contiguous_n(sf_dir, "pagerank")
     base_pr = 10**12 // n
-    P = 16
-    bsp = BSP(P)
+    bsp = BSP(16 * n)  # the state: two int64 columns per node
+    P = bsp.n_parts
 
     def emit(t: pa.Table):
         dst, s = _link_push(col(t, "doc_id"), col(t, "pr_e12") // 3, n)
@@ -3560,9 +3561,10 @@ def q_hits_scores(sf_dir: str, iters: int = 3):
     asserted).
 
     Execution: one BSP engine round per half-step (functions/bsp.py) over
-    16 node % 16 state blocks — emit rescales and sums per destination
-    inside each block, combine sums per node and returns its local max, so
-    the global max between steps is a max over 16 driver ints. The final
+    P node % P state blocks (P from the state's bytes, at most 16) — emit
+    rescales and sums per destination inside each block, combine sums per
+    node and returns its local max, so the global max between steps is a
+    max over P driver ints. The final
     hub/authority join is a per-partition zip (both sides carry every node
     of the partition via the keep-alive rows, asserted)."""
     import ray
@@ -3579,8 +3581,8 @@ def q_hits_scores(sf_dir: str, iters: int = 3):
         raise ValueError("hits needs gcd(7, N) == 1 for the modular-"
                          "inverse transpose; other N would need an "
                          "explicit edge join") from exc
-    P = 16
-    bsp = BSP(P)
+    bsp = BSP(16 * n)  # the state: two int64 columns per node
+    P = bsp.n_parts
 
     def emit(t: pa.Table, mx: int, out_edges: bool):
         dst, s = _link_push(col(t, "node"), col(t, "s") * scale // mx, n,

@@ -110,7 +110,6 @@ class PipelineConfig:
 
     # Execution
     batch_size: int = 256                  # rows per batch for heavy text stages
-    join_buckets: int = 32                 # buckets for the partitioned hash join
     cc_driver_edge_limit: int = 5_000_000  # ≤ this many edges → driver union-find
 
     def __post_init__(self):
@@ -163,14 +162,14 @@ class PipelineConfig:
         """Stable hash of semantic config — used to key checkpoints."""
         d = asdict(self)
         # deleted fields stay in the hashed JSON with the value they had
-        # (None for the two execution-only ones, 2048 for the pair cap that
-        # no default bucket could reach), so the hash — and every existing
+        # (None for the execution-only ones, 2048 for the pair cap that no
+        # default bucket could reach), so the hash — and every existing
         # checkpoint key — is unchanged
         d["sig_concurrency"] = None
         d["sig_use_actors"] = None
         d["max_pairs_per_bucket"] = 2048
-        d["batch_size"] = None  # execution-only knobs excluded
         d["join_buckets"] = None
+        d["batch_size"] = None  # execution-only knobs excluded
         d["cc_driver_edge_limit"] = None
         d["verify_broadcast_bytes"] = None
         d["min_gain_ratio"] = None

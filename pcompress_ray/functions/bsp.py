@@ -1,6 +1,8 @@
 """The one engine for iterative loops: bulk-synchronous rounds of raw Ray
 tasks over P resident Arrow blocks, block p holding the rows whose int64
-key k has k % P == p.
+key k has k % P == p. P follows the loop's input bytes by the exchange's
+rule (``ops.part_count``: one partition per ``_PART_BYTES``), at most 16,
+so a loop over a few thousand nodes runs one task per step, not sixteen.
 
 A round is routed waves: an emit task per source block (the state, or
 another block list such as an edge set) returns P tables, table q routed
@@ -19,10 +21,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from pcompress_ray.functions.ops import (group_boundaries,
-                                         materialized_block_refs)
+from pcompress_ray.functions.ops import group_boundaries, part_count
 
 EMPTY = pa.table({})
+MAX_PARTS = 16
 
 
 def col(t: pa.Table, name: str) -> np.ndarray:
@@ -70,11 +72,21 @@ def _table(block) -> pa.Table:
 
 
 class BSP:
-    """Rounds over ``n_parts`` resident blocks."""
+    """Rounds over ``n_parts`` resident blocks, sized from ``nbytes``, the
+    bytes of the loop's input (``over`` reads them from a Dataset)."""
 
-    def __init__(self, n_parts: int = 16):
-        self.n_parts = n_parts
+    def __init__(self, nbytes: int):
+        self.n_parts = part_count(nbytes, MAX_PARTS)
         self._tasks: dict = {}
+
+    @classmethod
+    def over(cls, ds):
+        """(an engine sized from ``ds``'s bytes, ``ds``'s block refs to use
+        as round sources)."""
+        blocks = [b for bu in ds.materialize().iter_internal_ref_bundles()
+                  for b in bu.blocks]
+        return (cls(sum(md.size_bytes or 0 for _, md in blocks)),
+                [ref for ref, _ in blocks])
 
     def _task(self, fn, kind: str):
         """fn's Ray task, made once so a loop exports it once. "emit" and
@@ -101,11 +113,6 @@ class BSP:
     def _routed(self, fn, kind: str, *args) -> list:
         out = self._task(fn, kind).remote(*args)
         return out if self.n_parts > 1 else [out]
-
-    @staticmethod
-    def blocks(ds) -> list:
-        """Block refs of a Dataset, to use as round sources."""
-        return materialized_block_refs(ds.materialize())
 
     def round(self, state, emit, *steps, sources=None, args=()):
         """``emit(table, *args)`` over ``sources`` (default: the state),

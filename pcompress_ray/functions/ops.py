@@ -7,9 +7,11 @@ semaphore ring. Here every keyed operator is one data-parallel exchange:
 - ``exchange``: the hash-exchange primitive. It takes several Datasets,
   with key columns per input; all rows whose keys hash to the same
   partition reach one ``fn`` call, as one Arrow table per input. Its raw
-  slicer and reducer tasks are the only exchange path; their in-flight
-  input bytes are bounded by a share of the object store, so inputs
-  larger than the store exchange through spill.
+  slicer and reducer tasks are the only exchange path. Their number
+  follows the input bytes, one partition per ``_PART_BYTES`` up to the
+  caller's ``n_parts``; their in-flight input bytes are bounded by a share
+  of the object store, so inputs larger than the store exchange through
+  spill.
 - ``grouped_partitions`` / ``fast_grouped_partitions``: the single-input
   form, handing ``fn`` one pandas DataFrame per partition.
 - ``hash_join``, ``asof_join``, ``band_join_count``: two-input exchanges;
@@ -36,6 +38,18 @@ _SALT = np.uint64(0xA5A5A5A55A5A5A5A)
 # slicer tasks per exchange: the driver holds at most this many × (P + 1)
 # object refs, whatever the input block count
 _MAX_SLICERS = 64
+# input bytes per exchange partition, per slicer task and per BSP
+# partition. A 2,000-page dedup op's exchanges move 0.15-1.3 MB each; at
+# 64 partitions apiece they spent most of their wall launching tasks for
+# tiny blocks. On 4 CPUs, 64 KiB-16 MiB measured alike at 2,000 pages and
+# 1 MiB beat 256 KiB and 4 MiB by 3-5% at 20,000 (sweep in CHANGES.md).
+_PART_BYTES = 1 << 20
+
+
+def part_count(nbytes: int, cap: int) -> int:
+    """Partitions for ``nbytes`` of input: one per ``_PART_BYTES``, at
+    least 1 and at most ``cap``."""
+    return min(cap, max(1, -(-int(nbytes) // _PART_BYTES)))
 
 
 def _col_hash_u64(col) -> np.ndarray:
@@ -58,9 +72,9 @@ def _partition_ids(cols: list, n_parts: int) -> np.ndarray:
 
 
 def partition_bucket_u64(v: np.ndarray, n_parts: int) -> np.ndarray:
-    """The partition ``exchange`` assigns a single uint64 key column —
-    exposed so on-disk layouts (the archive chunk store's ``bucket=`` dirs)
-    can align with the exchange's partitioning."""
+    """The partition that an ``exchange`` running ``n_parts`` partitions
+    assigns a single uint64 key column — the bucket function of on-disk
+    layouts (the archive chunk store's ``bucket=`` dirs)."""
     return _partition_ids([pa.array(v.astype(np.uint64))],
                           n_parts).astype(np.int32)
 
@@ -103,9 +117,14 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
     either). An input with no schema next to another input's rows raises
     ``ValueError``, since ``fn`` could not be handed its columns.
 
-    Up to 64 slicer tasks in all (hash keys → slice their blocks into
-    n_parts sub-tables, zero-copy plasma reads), then one reducer task per
-    non-empty partition (concat + ``fn``). It reads each input's own block
+    ``n_parts`` is an upper bound: the exchange runs P =
+    ``part_count(input bytes, n_parts)`` partitions, one per
+    ``_PART_BYTES`` of input (the bytes come from the block metadata), so
+    a small input is not scattered over many tiny blocks. Each input's
+    blocks are split into ``part_count(its bytes, 64 // len(inputs))``
+    slicer tasks (hash keys → slice their blocks into P sub-tables,
+    zero-copy plasma reads), then one reducer task runs per non-empty
+    partition (concat + ``fn``). It reads each input's own block
     refs — no union, no sort machinery, whose fixed cost (executor launch,
     sampling, a sort task per block) dominates exchanges of many small
     blocks (the 3-way edge union at 40k docs: ~4.3 s of pure overhead for
@@ -129,6 +148,8 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
                for ds in inputs]
     blocks = [[b for bu in bs for b in bu.blocks] for bs in bundles]
     n_rows = [sum(md.num_rows or 0 for _, md in bl) for bl in blocks]
+    n_bytes = [sum(md.size_bytes or 0 for _, md in bl) for bl in blocks]
+    P = part_count(sum(n_bytes), n_parts)
     for i, bs in enumerate(bundles):
         if sum(n_rows) > n_rows[i] and not any(
                 getattr(bu.schema, "names", None) for bu in bs):
@@ -142,14 +163,14 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
         tabs = [_arrow(b) for b in blocks]
         empty = next((t.slice(0, 0) for t in tabs if t.num_columns),
                      pa.table({}))
-        counts = np.zeros(n_parts, dtype=np.int64)
-        parts: list[list] = [[] for _ in range(n_parts)]
+        counts = np.zeros(P, dtype=np.int64)
+        parts: list[list] = [[] for _ in range(P)]
         for t in tabs:
             if not len(t):
                 continue
-            p = _partition_ids([t[c] for c in key_cols], n_parts)
+            p = _partition_ids([t[c] for c in key_cols], P)
             order = np.argsort(p, kind="stable")
-            bounds = np.searchsorted(p[order], np.arange(n_parts + 1))
+            bounds = np.searchsorted(p[order], np.arange(P + 1))
             for pid in np.flatnonzero(np.diff(bounds)):
                 parts[pid].append(t.take(order[bounds[pid]:bounds[pid + 1]]))
             counts += np.diff(bounds)
@@ -185,17 +206,17 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
         held += nbytes
         return out
 
-    rem = ray.remote(slicer).options(num_returns=n_parts + 1)
+    rem = ray.remote(slicer).options(num_returns=P + 1)
     per_input = max(1, _MAX_SLICERS // len(inputs))
     slices = []
-    for bl, key_cols in zip(blocks, keys):
-        groups = np.array_split(np.arange(len(bl)),
-                                min(len(bl), per_input)) if bl else []
+    for bl, nb, key_cols in zip(blocks, n_bytes, keys):
+        groups = np.array_split(np.arange(len(bl)), min(
+            len(bl), part_count(nb, per_input))) if bl else []
         slices.append([submit(sum(bl[i][1].size_bytes for i in g), rem,
                               key_cols, *[bl[i][0] for i in g])
                        for g in groups])
-    stats = np.zeros((2, n_parts), dtype=np.int64)  # rows, bytes
-    for s in ray.get([s[n_parts] for ss in slices for s in ss]):
+    stats = np.zeros((2, P), dtype=np.int64)  # rows, bytes
+    for s in ray.get([s[P] for ss in slices for s in ss]):
         stats += s
     counts, part_bytes = stats
     sizes = [len(ss) for ss in slices]

@@ -337,9 +337,9 @@ def archive_write(pages_ds, cfg: PipelineConfig | None = None,
     def elect_and_compress(part: pd.DataFrame) -> pd.DataFrame:
         out = _elect_compress_frame(part, codec_text, codec_binary, preset,
                                     cfg.archive_filters)
-        # bucket == this exchange's partition id: written as the store's
-        # hive partition so archive_append can co-read ONLY the matching
-        # bucket's hash column (O(increment) appends)
+        # the store's hive partition, the exchange's hash over
+        # archive_store_buckets, so archive_append can co-read ONLY the
+        # buckets its new hashes fall in (O(increment) appends)
         out["bucket"] = partition_bucket_u64(
             out["chunk_hash"].to_numpy(dtype=np.uint64), n_buckets)
         return out
@@ -570,8 +570,7 @@ def archive_restore(store_ds, manifest_ds, cfg: PipelineConfig | None = None,
     dj = hash_join(
         deltas_ds.select_columns(["rank", "base_rank", "codec", "payload",
                                   "url", "text_sha256"]),
-        bases, left_on="base_rank", right_on="rank",
-        n_buckets=cfg.join_buckets)
+        bases, left_on="base_rank", right_on="rank")
 
     from pcompress_ray.stages.delta import delta_decode
 
@@ -609,8 +608,8 @@ def write_archive(res: ArchiveResult, out_dir: str) -> str:
 
     os.makedirs(out_dir, exist_ok=True)
     if "bucket" in res.store.schema().names:
-        # hive-partitioned by the exchange's bucket id → appends co-read
-        # one bucket instead of reshuffling the historical hash set
+        # hive-partitioned by store bucket → appends co-read the buckets
+        # of their new hashes instead of reshuffling the historical set
         res.store.write_parquet(os.path.join(out_dir, "store"),
                                 partition_cols=["bucket"])
     else:
@@ -635,10 +634,11 @@ def archive_append(archive_dir: str, new_pages_ds,
     increment-bounded set — ever reach the driver), so re-running a
     committed append is a no-op instead of doubling manifest piece lists.
 
-    O(INCREMENT) exclusion: the new-payload exchange is partitioned with
-    the SAME bucket function as the store's on-disk ``bucket=`` hive layout
-    (``partition_bucket_u64``), so each reducer co-reads ONLY its matching
-    bucket's hash column — the historical hash set is never reshuffled.
+    O(INCREMENT) exclusion: every new chunk hash is bucketed with the SAME
+    function as the store's on-disk ``bucket=`` hive layout
+    (``partition_bucket_u64``), so each reducer co-reads ONLY the hash
+    columns of the buckets its rows fall in — the historical hash set is
+    never reshuffled.
     Exclusion stays EXACT (never an approximate filter — a false positive
     would lose a chunk). Legacy non-bucketed archives fall back to one
     exchange of the new rows with the whole old hash column (O(store)
@@ -744,10 +744,12 @@ def archive_append(archive_dir: str, new_pages_ds,
         def elect_bucketed(part: pd.DataFrame) -> pd.DataFrame:
             fresh = part
             if len(part):
+                # the exchange may run fewer partitions than the store has
+                # buckets, so one partition can hold rows of several
                 ch = part["chunk_hash"].to_numpy(dtype=np.uint64)
-                b = int(partition_bucket_u64(ch[:1], n_buckets)[0])
-                bdir = os.path.join(store_dir, f"bucket={b}")
-                files = glob.glob(os.path.join(bdir, "*.parquet"))
+                files = [f for b in np.unique(partition_bucket_u64(
+                    ch, n_buckets)) for f in glob.glob(os.path.join(
+                        store_dir, f"bucket={b}", "*.parquet"))]
                 if files:
                     old_h = np.unique(np.concatenate([
                         pq.read_table(f, columns=["chunk_hash"])

@@ -227,8 +227,7 @@ def resolve_components(edges_ds, sig_ds, cfg: PipelineConfig,
 
     joined = hash_join(_docs_with_bytes(sig_ds),
                        labels_ds.map_batches(rn, batch_format="pyarrow"),
-                       left_on="rank", right_on="node",
-                       n_buckets=cfg.join_buckets, how="left")
+                       left_on="rank", right_on="node", how="left")
 
     def finalize(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
@@ -247,13 +246,12 @@ def resolve_components(edges_ds, sig_ds, cfg: PipelineConfig,
     return joined.map_batches(finalize, batch_format="pyarrow")
 
 
-def edges_to_pairs(edges_ds, sig_ds, cfg: PipelineConfig):
+def edges_to_pairs(edges_ds, sig_ds):
     """(a,b,kind,jaccard) → (url_a, url_b, kind, similarity) via two joins."""
     from pcompress_ray.functions.ops import hash_join
 
     urls = sig_ds.select_columns(["url", "rank"])
-    j1 = hash_join(edges_ds, urls, left_on="a", right_on="rank",
-                   n_buckets=cfg.join_buckets)
+    j1 = hash_join(edges_ds, urls, left_on="a", right_on="rank")
 
     def rn1(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
@@ -263,7 +261,7 @@ def edges_to_pairs(edges_ds, sig_ds, cfg: PipelineConfig):
                          "url_a": t["url"].cast(pa.string())})
 
     j2 = hash_join(j1.map_batches(rn1, batch_format="pyarrow"), urls,
-                   left_on="b", right_on="rank", n_buckets=cfg.join_buckets)
+                   left_on="b", right_on="rank")
 
     def rn2(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
@@ -385,7 +383,7 @@ def dedup_pipeline(pages_ds, cfg: PipelineConfig | None = None,
         else clusters.materialize()
     mark("clusters")
 
-    pairs = edges_to_pairs(edges, sig, cfg) if compute_pairs else None
+    pairs = edges_to_pairs(edges, sig) if compute_pairs else None
 
     # lineage / metrics (A4 analog: compression statistics, pcompress.c:175-195
     # + dedupe-gain accounting, rabin/rabin_dedup.c:1250-1257, 1412-1420:

@@ -153,7 +153,7 @@ def dedup_increment(prev_sig, prev_edges, new_pages_ds,
 
     from pcompress_ray.pipelines.dedup import edges_to_pairs, lineage_table
 
-    pairs = edges_to_pairs(edges, sig_all, cfg) if compute_pairs else None
+    pairs = edges_to_pairs(edges, sig_all) if compute_pairs else None
     lineage = lineage_table({"signatures": sig_all, "edges": edges,
                              "clusters": clusters}, cfg.config_hash())
     metrics = {

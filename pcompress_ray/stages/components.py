@@ -169,8 +169,8 @@ def label_propagation(edges_ds):
                                              group_reduce, lookup, route)
     from pcompress_ray.stages.redirects import jump_to_roots
 
-    P = 16
-    bsp = BSP(P)
+    bsp, edges = BSP.over(edges_ds)
+    P = bsp.n_parts
     empty = np.zeros(0, np.int64)
 
     def hook(t: pa.Table):
@@ -211,7 +211,6 @@ def label_propagation(edges_ds):
                                  np.maximum(a[k], b[k])]), axis=1)
         return pa.table({"a": ab[0], "b": ab[1]}), ab.shape[1]
 
-    edges = bsp.blocks(edges_ds)
     state, sizes = bsp.round(None, hook, attach, sources=edges)
     n = sum(sizes)
     bound, depth = _round_bound(n), math.ceil(math.log2(max(n, 2))) + 2

@@ -184,8 +184,7 @@ def delta_encode_members(clusters_ds, pages_ds, cfg: PipelineConfig | None = Non
 
     from pcompress_ray.functions.ops import hash_join
 
-    j1 = hash_join(members, texts, left_on="rank", right_on="rank",
-                   n_buckets=cfg.join_buckets)
+    j1 = hash_join(members, texts, left_on="rank", right_on="rank")
 
     def rn(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
@@ -198,8 +197,7 @@ def delta_encode_members(clusters_ds, pages_ds, cfg: PipelineConfig | None = Non
         return pa.table(cols)
 
     j2 = hash_join(j1.map_batches(rn, batch_format="pyarrow"), texts,
-                   left_on="base_rank", right_on="rank",
-                   n_buckets=cfg.join_buckets)
+                   left_on="base_rank", right_on="rank")
 
     def encode(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)

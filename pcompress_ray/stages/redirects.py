@@ -68,7 +68,7 @@ def jump_to_roots(bsp, state: list, max_rounds: int) -> list:
 
 
 def resolve_pointers(ds, node_col: str = "node", ptr_col: str = "ptr",
-                     n_parts: int = 16, max_rounds: int = 64):
+                     max_rounds: int = 64):
     """(node, ptr) Dataset → (node, final_id, hops) Dataset.
 
     Functional graph: one row per node; a root is a node with
@@ -82,13 +82,14 @@ def resolve_pointers(ds, node_col: str = "node", ptr_col: str = "ptr",
 
     from pcompress_ray.functions.bsp import BSP, col, concat, route
 
-    bsp = BSP(n_parts)
+    bsp, sources = BSP.over(ds)
+    P = bsp.n_parts
 
     def load(t: pa.Table):
         node, ptr = col(t, node_col), col(t, ptr_col)
         return route(pa.table({"node": node, "ptr": ptr,
                                "hops": (ptr != node).astype(np.int64)}),
-                     node, n_parts)
+                     node, P)
 
     def gather(_, *incoming):
         t = concat(incoming)
@@ -97,7 +98,7 @@ def resolve_pointers(ds, node_col: str = "node", ptr_col: str = "ptr",
                           for c in ("node", "ptr", "hops")})
         return t.sort_by("node"), len(t)
 
-    state, _ = bsp.round(None, load, gather, sources=bsp.blocks(ds))
+    state, _ = bsp.round(None, load, gather, sources=sources)
     state = jump_to_roots(bsp, state, max_rounds)
 
     # even-length cycles DO reach a fixpoint — they collapse to

@@ -254,8 +254,7 @@ def substring_verify(edges_ds, pages_ds, cfg: PipelineConfig):
 
         texts = semi_join_filter(texts, part_ranks, on="rank")
 
-    j1 = hash_join(subs, texts, left_on="a", right_on="rank",
-                   n_buckets=cfg.join_buckets)
+    j1 = hash_join(subs, texts, left_on="a", right_on="rank")
 
     def rn1(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
@@ -263,8 +262,7 @@ def substring_verify(edges_ds, pages_ds, cfg: PipelineConfig):
                          "text_a": t[text_col].cast(pa.string())})
 
     j2 = hash_join(j1.map_batches(rn1, batch_format="pyarrow").materialize(),
-                   texts, left_on="b", right_on="rank",
-                   n_buckets=cfg.join_buckets)
+                   texts, left_on="b", right_on="rank")
 
     min_bytes = cfg.substring_min_bytes
     min_block, max_block = cfg.min_block_size, cfg.max_block_size

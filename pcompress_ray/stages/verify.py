@@ -289,8 +289,7 @@ def _verify_join(cand_ds, sig_ds, cfg: PipelineConfig, ids):
 
         sk = sk.map_batches(filt, batch_format="pyarrow")
 
-    j1 = hash_join(cand_ds, sk, left_on="a", right_on="rank",
-                   n_buckets=cfg.join_buckets, suffix="_a")
+    j1 = hash_join(cand_ds, sk, left_on="a", right_on="rank", suffix="_a")
     # after join 1: columns a,b,n_bands,rank,kmv → rename kmv→kmv_a, drop rank
     def rn1(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
@@ -301,8 +300,7 @@ def _verify_join(cand_ds, sig_ds, cfg: PipelineConfig, ids):
         })
 
     j1 = j1.map_batches(rn1, batch_format="pyarrow")
-    j2 = hash_join(j1, sk, left_on="b", right_on="rank",
-                   n_buckets=cfg.join_buckets, suffix="_b")
+    j2 = hash_join(j1, sk, left_on="b", right_on="rank", suffix="_b")
 
     thresh = cfg.jaccard_threshold
     k = cfg.kmv_k

@@ -152,7 +152,23 @@ def test_archive_append_legacy_layout(ray_session, tmp_path):
     _check_append(tmp_path, legacy_layout=True)
 
 
+def test_archive_append_fewer_partitions_than_buckets(ray_session, tmp_path,
+                                                      monkeypatch):
+    """The bucketed append stores the same new chunks and restores the same
+    text when its exchange runs one partition holding all 64 store buckets
+    as when it runs one partition per bucket: a partition reads the old
+    hashes of every bucket its rows fall in."""
+    from pcompress_ray.functions import ops
+
+    monkeypatch.setattr(ops, "_PART_BYTES", 1)  # P = archive_store_buckets
+    want = _check_append(tmp_path / "p64", legacy_layout=False)
+    monkeypatch.setattr(ops, "_PART_BYTES", 1 << 40)  # P = 1
+    assert _check_append(tmp_path / "p1", legacy_layout=False) == want
+
+
 def _check_append(tmp_path, legacy_layout: bool):
+    """Write, append and restore; returns (new unique chunks, the restored
+    text by url)."""
     import glob
     import json
     import os
@@ -220,6 +236,7 @@ def _check_append(tmp_path, legacy_layout: bool):
         .to_pandas()
     assert len(restored2) == 250
     assert restored2["sha_ok"].all()
+    return inc["n_new_unique_chunks"], by_url
 
 
 def test_archive_empty_and_single_docs(ray_session):

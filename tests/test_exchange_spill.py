@@ -14,8 +14,9 @@ import uuid
 from test_process_leak import ROOT, _marked_pids
 
 # Prints one JSON line: exchange wall (call to fetched output), input bytes,
-# spilled files seen after the exchange, and whether the output equals the
-# reference. Runs against any checkout on PYTHONPATH.
+# output blocks (one per non-empty partition), spilled files seen after the
+# exchange, and whether the output equals the reference. Runs against any
+# checkout on PYTHONPATH.
 SCRIPT = r"""
 import json, os, sys, time
 import numpy as np
@@ -71,7 +72,9 @@ gen = ray.remote(block_table)
 ds = rd.from_arrow_refs([gen.remote(i) for i in range(N_BLOCKS)])
 input_bytes = ds.size_bytes()
 t0 = time.perf_counter()
-got = exchange([ds], [["k"]], fn, n_parts=16).to_pandas()
+out = exchange([ds], [["k"]], fn, n_parts=16)
+n_blocks = out.num_blocks()
+got = out.to_pandas()
 wall = time.perf_counter() - t0
 spilled = sum(len(f) for _, _, f in os.walk(spill))
 
@@ -89,7 +92,8 @@ equal = bool(len(got) == KEYS and all(
     for j, c in enumerate(["k", "n", "s", "h"])))
 ray.shutdown()
 print(json.dumps({"exchange_s": round(wall, 2), "input_bytes": input_bytes,
-                  "spilled_files": spilled, "equal": equal}))
+                  "n_blocks": n_blocks, "spilled_files": spilled,
+                  "equal": equal}))
 """
 
 
@@ -111,6 +115,8 @@ def test_exchange_larger_than_object_store(tmp_path):
     assert p.returncode == 0, p.stderr[-3000:]
     res = json.loads(p.stdout.strip().splitlines()[-1])
     assert res["input_bytes"] >= 300 * 2**20, res
+    # hundreds of MiB derive the cap: backpressure is tested at P = 16
+    assert res["n_blocks"] == 16, res
     assert res["spilled_files"] > 0, res  # the store really was exceeded
     assert res["equal"], res
     assert not left, f"processes alive after the run exited: {left}"

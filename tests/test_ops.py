@@ -161,6 +161,24 @@ def test_label_propagation_matches_union_find(rds, graph):
     assert got == dict(zip(keys.tolist(), vals.tolist()))
 
 
+@pytest.mark.parametrize("part_bytes, P", [(1 << 40, 1), (1, 16)],
+                         ids=["P1", "P16"])
+def test_label_propagation_same_at_any_p(rds, monkeypatch, part_bytes, P):
+    """Components do not depend on the BSP partition count: one partition
+    (what a small edge set derives) and the cap of 16 give the same
+    labels, one output block per partition."""
+    from pcompress_ray.functions import ops
+    from pcompress_ray.stages.components import label_propagation
+
+    monkeypatch.setattr(ops, "_PART_BYTES", part_bytes)
+    a, b = _star_of_chains()
+    edges = rds.from_pandas(pd.DataFrame({"a": a, "b": b})).repartition(4)
+    out = label_propagation(edges)
+    assert out.num_blocks() == P
+    got = out.to_pandas().set_index("node")["label"].to_dict()
+    assert got == union_find(a, b)
+
+
 def test_label_propagation_raises_at_round_bound(rds, monkeypatch):
     from pcompress_ray.stages import components
 
@@ -277,9 +295,10 @@ def test_fast_grouped_partitions_matches_sort_path(rds):
 
 
 def test_fast_grouped_partitions_byte_budget_fallback(rds, monkeypatch):
-    """With an in-flight byte cap of 1 byte every slicer and reducer task is
-    dispatched alone (each waits for the one before it), and the exchange
-    still honors the co-location contract bit for bit."""
+    """At the caller's ``n_parts`` and with an in-flight byte cap of 1 byte
+    every slicer and reducer task is dispatched alone (each waits for the
+    one before it), and the exchange still honors the co-location contract
+    bit for bit."""
     from pcompress_ray.functions import ops
 
     _gp_fn = _make_gp_fn()
@@ -289,6 +308,7 @@ def test_fast_grouped_partitions_byte_budget_fallback(rds, monkeypatch):
     fast = ops.fast_grouped_partitions(rds.from_pandas(df).repartition(5),
                                        ["k"], _gp_fn, n_parts=7) \
         .to_pandas().sort_values("k").reset_index(drop=True)
+    monkeypatch.setattr(ops, "_PART_BYTES", 1)
     monkeypatch.setattr(ops, "_inflight_cap", lambda: 1)
     forced = ops.fast_grouped_partitions(rds.from_pandas(df).repartition(5),
                                          ["k"], _gp_fn, n_parts=7) \
@@ -393,7 +413,7 @@ def test_exchange_schemaless_empty_input(rds):
     assert out.count() == 0
 
 
-@pytest.mark.parametrize("case", [
+_EXCHANGE_CASES = pytest.mark.parametrize("case", [
     test_hash_join_matches_pandas, test_hash_join_left_outer,
     test_asof_join_matches_pandas_merge_asof,
     test_asof_join_inclusive_and_boundaries,
@@ -403,11 +423,41 @@ def test_exchange_schemaless_empty_input(rds):
     test_fast_grouped_partitions_empty_input,
     test_exchange_multi_input,
 ], ids=lambda f: f.__name__[len("test_"):])
-def test_streaming_exchange_path(rds, monkeypatch, case):
-    """Each exchange test above, again with an in-flight byte cap of 1 byte,
-    so every slicer and reducer task is dispatched alone: the results do
-    not depend on how many tasks run at once."""
+
+
+@_EXCHANGE_CASES
+def test_exchange_at_part_cap(rds, monkeypatch, case):
+    """Each exchange test above, again with 1 byte per partition, so every
+    exchange runs its caller's ``n_parts`` partitions and one slicer per
+    block instead of the one partition its few bytes derive."""
     from pcompress_ray.functions import ops
 
+    monkeypatch.setattr(ops, "_PART_BYTES", 1)
+    case(rds)
+
+
+@_EXCHANGE_CASES
+def test_streaming_exchange_path(rds, monkeypatch, case):
+    """Each exchange test above, again at the caller's ``n_parts`` and with
+    an in-flight byte cap of 1 byte, so every slicer and reducer task is
+    dispatched alone: the results do not depend on how many tasks run at
+    once."""
+    from pcompress_ray.functions import ops
+
+    monkeypatch.setattr(ops, "_PART_BYTES", 1)
     monkeypatch.setattr(ops, "_inflight_cap", lambda: 1)
     case(rds)
+
+
+def test_exchange_parts_follow_input_bytes(rds, monkeypatch):
+    """P is one partition per ``_PART_BYTES`` of input, at most
+    ``n_parts``: the output has one block per non-empty partition."""
+    from pcompress_ray.functions import ops
+
+    t = pa.table({"k": np.arange(4000, dtype=np.int64)})  # 32,000 bytes
+    ds = rds.from_arrow(t).repartition(8).materialize()
+    for part_bytes, want in ((1 << 20, 1), (10_000, 4), (1, 16)):
+        monkeypatch.setattr(ops, "_PART_BYTES", part_bytes)
+        out = ops.exchange([ds], [["k"]], lambda x: x, n_parts=16)
+        assert out.num_blocks() == want
+        assert sorted(out.to_pandas()["k"]) == list(range(4000))

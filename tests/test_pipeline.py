@@ -342,3 +342,32 @@ def test_bucket_at_cap_emits_every_pair():
     assert len(got) == 4950
     assert (got["a"] < got["b"]).all()
     assert len(got.drop_duplicates()) == 4950
+
+
+def test_dedup_same_at_derived_and_capped_parts(ray_session, tmp_path,
+                                                monkeypatch):
+    """dedup_pipeline on a 400-page bench corpus gives the same edges and
+    clusters when each exchange runs the few partitions its bytes derive
+    as when it runs its caller's cap."""
+    import pcompress_ray
+    from pcompress_ray.functions import ops
+    from pcompress_ray.pipelines.dedup import dedup_pipeline
+    from pcompress_ray.sources.corpus import (read_bench_corpus,
+                                              write_bench_corpus)
+
+    pcompress_ray.register_for_ray()
+    path = write_bench_corpus(str(tmp_path), 400, seed=1)
+
+    def run():
+        res = dedup_pipeline(read_bench_corpus(path), PipelineConfig())
+        edges = res.edges.to_pandas()
+        clusters = res.clusters.to_pandas()
+        return (edges.sort_values(list(edges.columns)).reset_index(drop=True),
+                clusters.sort_values("url").reset_index(drop=True))
+
+    edges, clusters = run()
+    assert len(edges) and clusters["cluster_id"].nunique() < len(clusters)
+    monkeypatch.setattr(ops, "_PART_BYTES", 1)
+    cap_edges, cap_clusters = run()
+    pd.testing.assert_frame_equal(edges, cap_edges)
+    pd.testing.assert_frame_equal(clusters, cap_clusters)
