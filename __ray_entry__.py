@@ -33,7 +33,8 @@ import pyarrow as pa
 
 def _setup():
     """Process-wide and safe to repeat: ship the package to Ray workers by
-    value and switch off Ray Data progress bars. ``queries()`` and
+    value (``register_for_ray`` raises if the running Ray's workers cannot
+    import it) and switch off Ray Data progress bars. ``queries()`` and
     ``entry()`` call it, so no query has to."""
     import pcompress_ray
 
@@ -171,27 +172,26 @@ def entry() -> Any:
 def q_q1_pricing(sf_dir: str):
     """TPC-H Q1-style pricing summary (groupby aggregate, A4 analog)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
 
-    ds = _read(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_quantity",
-                "l_extendedprice", "l_discount"])
+    from pcompress_ray.functions.ops import exchange
 
-    def derive(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
+    keys = ["l_returnflag", "l_linestatus"]
+    ds = _read(sf_dir, "lineitem", keys + ["l_quantity", "l_extendedprice",
+                                           "l_discount"])
+
+    def agg(t: pa.Table) -> pa.Table:
         rev = pc.multiply(t["l_extendedprice"], pc.subtract(1.0, t["l_discount"]))
-        return t.append_column("revenue", rev)
+        return t.append_column("revenue", rev).group_by(
+            keys, use_threads=False).aggregate(
+            [("l_quantity", "sum"), ("revenue", "sum"), ([], "count_all")])
 
-    out = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby(["l_returnflag", "l_linestatus"])
-           .aggregate(Sum("l_quantity", alias_name="sum_qty"),
-                      Sum("revenue", alias_name="sum_revenue"),
-                      Count(alias_name="n_rows")))
+    out = exchange([ds], [keys], agg)
 
     return _typed(out, {"l_returnflag": pa.string(),
-                        "l_linestatus": pa.string(), "sum_qty": pa.float64(),
-                        "sum_revenue": pa.float64(), "n_rows": pa.int64()},
-                  round_to=4)
+                        "l_linestatus": pa.string(),
+                        "sum_qty": ("l_quantity_sum", pa.float64()),
+                        "sum_revenue": ("revenue_sum", pa.float64()),
+                        "n_rows": ("count_all", pa.int64())}, round_to=4)
 
 
 def q_q3_top_orders(sf_dir: str):
@@ -249,17 +249,16 @@ def q_q3_top_orders(sf_dir: str):
 
 def q_customer_nation(sf_dir: str):
     """Broadcast join (small dimension side) + count per group."""
-    from ray.data.aggregate import Count
-
-    from pcompress_ray.functions.ops import broadcast_join
+    from pcompress_ray.functions.ops import broadcast_join, exchange
 
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     j = broadcast_join(cust, nation, "c_nationkey", "n_nationkey")
-    out = j.groupby("n_name").aggregate(Count(alias_name="n_customers"))
+    out = exchange([j], [["n_name"]], lambda t: t.group_by(
+        "n_name", use_threads=False).aggregate([([], "count_all")]))
 
     return _typed(out, {"nation": ("n_name", pa.string()),
-                        "n_customers": pa.int64()})
+                        "n_customers": ("count_all", pa.int64())})
 
 
 def q_top_orders_per_segment(sf_dir: str):
@@ -379,28 +378,30 @@ def q_lang_id(sf_dir: str):
 
 
 def q_lang_stats(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
-    out = ds.groupby("lang").aggregate(Count(alias_name="n_docs"),
-                                       Sum("n_chars", alias_name="total_chars"))
+    out = exchange([ds], [["lang"]], lambda t: t.group_by(
+        "lang", use_threads=False).aggregate(
+        [([], "count_all"), ("n_chars", "sum")]))
 
-    return _typed(out, {"lang": pa.string(), "n_docs": pa.int64(),
-                        "total_chars": pa.int64()})
+    return _typed(out, {"lang": pa.string(),
+                        "n_docs": ("count_all", pa.int64()),
+                        "total_chars": ("n_chars_sum", pa.int64())})
 
 
 def q_top_tokens(sf_dir: str):
     """Corpus token frequency top-50 (map-side combine + groupby-sum +
     sort + limit) — only (token, partial_count) rows enter the shuffle."""
-    from ray.data.aggregate import Sum
-
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.textstats import token_counts
 
     ds = _read(sf_dir, "documents", ["text"])
-    out = (ds.map_batches(token_counts, batch_format="pyarrow")
-           .groupby("token").aggregate(Sum("n", alias_name="n")))
+    out = exchange([ds.map_batches(token_counts, batch_format="pyarrow")],
+                   [["token"]], lambda t: t.group_by(
+                       "token", use_threads=False).aggregate([("n", "sum")]))
 
-    return (_typed(out, {"token": pa.string(), "n": pa.int64()})
+    return (_typed(out, {"token": pa.string(), "n": ("n_sum", pa.int64())})
             .sort(["n", "token"], descending=[True, False]).limit(50))
 
 
@@ -992,9 +993,8 @@ def q_dup_gain_by_source(sf_dir: str):
     gain accounting): per source, how many docs/chars an exact keep-first
     dedup removes. Composes T1 exact-dup canonical assignment with A4
     aggregates; all-integer output so the oracle hash is dtype-stable."""
-    from ray.data.aggregate import Count, Sum
-
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    from pcompress_ray.functions.ops import (exchange, group_boundaries,
+                                             grouped_partitions)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source", "n_chars"])
 
@@ -1011,15 +1011,16 @@ def q_dup_gain_by_source(sf_dir: str):
     hashed = _text_md5(ds, {"doc_id": pa.int64(), "source": pa.string(),
                             "n_chars": pa.int64()})
     marked = grouped_partitions(hashed, ["text_md5"], mark_dups)
-    agg = marked.groupby("source").aggregate(
-        Count(alias_name="n_docs"),
-        Sum("n_chars", alias_name="total_chars"),
-        Sum("is_dup", alias_name="dup_docs"),
-        Sum("dup_chars", alias_name="dup_chars"))
+    agg = exchange([marked], [["source"]], lambda t: t.group_by(
+        "source", use_threads=False).aggregate(
+        [([], "count_all"), ("n_chars", "sum"), ("is_dup", "sum"),
+         ("dup_chars", "sum")]))
 
-    return _typed(agg, {"source": pa.string(), "n_docs": pa.int64(),
-                        "total_chars": pa.int64(), "dup_docs": pa.int64(),
-                        "dup_chars": pa.int64()})
+    return _typed(agg, {"source": pa.string(),
+                        "n_docs": ("count_all", pa.int64()),
+                        "total_chars": ("n_chars_sum", pa.int64()),
+                        "dup_docs": ("is_dup_sum", pa.int64()),
+                        "dup_chars": ("dup_chars_sum", pa.int64())})
 
 
 _ARCHIVE_MEMO: dict = {}
@@ -1413,7 +1414,10 @@ def q_events_rollup(sf_dir: str):
     grand total, from ONE shuffle — the subtotal levels re-aggregate the
     (small) detail result, never the raw events. Value sums are integer
     micro-units so all three levels are order-independent and exact."""
-    from ray.data.aggregate import Count, Sum
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from pcompress_ray.functions.ops import block_rounds, exchange
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
@@ -1425,37 +1429,35 @@ def q_events_rollup(sf_dir: str):
             "hour_id": pa.array(us // 3_600_000_000),
             "v_e6": pa.array(np.floor(v * 1e6 + 0.5).astype(np.int64))})
 
-    detail = (ds.map_batches(derive, batch_format="pyarrow")
-              .groupby(["event_type", "hour_id"])
-              .aggregate(Count(alias_name="n_events"),
-                         Sum("v_e6", alias_name="sum_value_e6")))
+    keys = ["event_type", "hour_id"]
+    detail = exchange(
+        [ds.map_batches(derive, batch_format="pyarrow")], [keys],
+        lambda t: t.group_by(keys, use_threads=False).aggregate(
+            [([], "count_all"), ("v_e6", "sum")]))
 
     detail = _typed(detail, {"event_type": pa.string(), "hour_id": pa.int64(),
-                             "n_events": pa.int64(),
-                             "sum_value_e6": pa.int64()}).materialize()
-    by_type = (detail.groupby("event_type")
-               .aggregate(Sum("n_events", alias_name="n_events"),
-                          Sum("sum_value_e6", alias_name="sum_value_e6")))
+                             "n_events": ("count_all", pa.int64()),
+                             "sum_value_e6": ("v_e6_sum", pa.int64())}
+                    ).materialize()
 
     def lvl1(t: pa.Table) -> pa.Table:
-        n = len(t)
+        g = t.group_by("event_type", use_threads=False).aggregate(
+            [("n_events", "sum"), ("sum_value_e6", "sum")])
         return pa.table({
-            "event_type": t["event_type"].cast(pa.string()),
-            "hour_id": pa.array(np.full(n, -1, dtype=np.int64)),
-            "n_events": t["n_events"].cast(pa.int64()),
-            "sum_value_e6": t["sum_value_e6"].cast(pa.int64())})
+            "event_type": g["event_type"],
+            "hour_id": pa.array(np.full(len(g), -1, dtype=np.int64)),
+            "n_events": g["n_events_sum"],
+            "sum_value_e6": g["sum_value_e6_sum"]})
 
-    tot = detail.aggregate(Sum("n_events", alias_name="n"),
-                           Sum("sum_value_e6", alias_name="sv"))
-    import ray.data as rd
-
+    by_type = exchange([detail], [["event_type"]], lvl1)
+    tot = block_rounds(detail, lambda t: (pc.sum(t["n_events"]).as_py(),
+                                          pc.sum(t["sum_value_e6"]).as_py()))
     total = rd.from_arrow(pa.table({
         "event_type": pa.array(["ALL"]),
         "hour_id": pa.array([-1], pa.int64()),
-        "n_events": pa.array([int(tot["n"])], pa.int64()),
-        "sum_value_e6": pa.array([int(tot["sv"])], pa.int64())}))
-    return detail.union(by_type.map_batches(lvl1, batch_format="pyarrow"),
-                        total)
+        "n_events": pa.array([sum(n for n, _ in tot)], pa.int64()),
+        "sum_value_e6": pa.array([sum(v for _, v in tot)], pa.int64())}))
+    return detail.union(by_type, total)
 
 
 def q_lang_token_diversity(sf_dir: str):
@@ -1465,9 +1467,7 @@ def q_lang_token_diversity(sf_dir: str):
     tiny per-lang sum; token occurrences never leave the map side."""
     import re
 
-    from ray.data.aggregate import Sum
-
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange, grouped_partitions
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
     tok = re.compile(r"[a-z0-9]+")
@@ -1498,12 +1498,13 @@ def q_lang_token_diversity(sf_dir: str):
 
     parts = grouped_partitions(ds.map_batches(pairs, batch_format="pandas"),
                                ["lang", "token"], count_part, n_parts=32)
-    out = parts.groupby("lang").aggregate(
-        Sum("n_distinct", alias_name="n_distinct_tokens"),
-        Sum("n_occ", alias_name="n_tokens"))
+    out = exchange([parts], [["lang"]], lambda t: t.group_by(
+        "lang", use_threads=False).aggregate(
+        [("n_distinct", "sum"), ("n_occ", "sum")]))
 
-    return _typed(out, {"lang": pa.string(), "n_distinct_tokens": pa.int64(),
-                        "n_tokens": pa.int64()})
+    return _typed(out, {"lang": pa.string(),
+                        "n_distinct_tokens": ("n_distinct_sum", pa.int64()),
+                        "n_tokens": ("n_occ_sum", pa.int64())})
 
 
 def q_lang_length_quantiles(sf_dir: str):
@@ -1552,6 +1553,7 @@ def q_file_type_stats(sf_dir: str):
     tests/test_filetype.py)."""
     import ray.data as rd
 
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.filetype import (detect_types_batch,
                                                make_fake_file_table)
 
@@ -1560,17 +1562,12 @@ def q_file_type_stats(sf_dir: str):
         lambda t: detect_types_batch(t, path_col="path"),
         batch_format="pyarrow", batch_size=64)
 
-    def agg(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        g = t.group_by("ftype_name").aggregate([("file_id", "count")])
-        return g.rename_columns(["ftype_name", "n_files"])
-
-    out = typed.select_columns(["file_id", "ftype_name"]) \
-        .map_batches(agg, batch_format="pyarrow") \
-        .groupby("ftype_name").sum("n_files")
+    out = exchange([typed.select_columns(["ftype_name"])], [["ftype_name"]],
+                   lambda t: t.group_by("ftype_name", use_threads=False)
+                   .aggregate([([], "count_all")]))
 
     out = _typed(out, {"ftype_name": pa.string(),
-                       "n_files": ("sum(n_files)", pa.int64())})
+                       "n_files": ("count_all", pa.int64())})
     return out.sort("ftype_name")
 
 
@@ -1701,15 +1698,15 @@ def q_top_bigrams(sf_dir: str):
     per-batch partial counts) → groupby-sum → total-order top-k. Only
     (bigram, partial_n) rows enter the shuffle — bounded by batch
     vocabulary², not corpus token count."""
-    from ray.data.aggregate import Sum
-
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.textstats import bigram_counts
 
     ds = _read(sf_dir, "documents", ["text"])
-    out = (ds.map_batches(bigram_counts, batch_format="pyarrow")
-           .groupby("bigram").aggregate(Sum("n", alias_name="n")))
+    out = exchange([ds.map_batches(bigram_counts, batch_format="pyarrow")],
+                   [["bigram"]], lambda t: t.group_by(
+                       "bigram", use_threads=False).aggregate([("n", "sum")]))
 
-    return (_typed(out, {"bigram": pa.string(), "n": pa.int64()})
+    return (_typed(out, {"bigram": pa.string(), "n": ("n_sum", pa.int64())})
             .sort(["n", "bigram"], descending=[True, False]).limit(30))
 
 
@@ -1765,16 +1762,17 @@ def q_lm_quality(sf_dir: str):
     (searchsorted + reduceat per batch). Logprobs are quantized to e6 ints
     before aggregation so the SQL twin hashes identically."""
     import ray
-    from ray.data.aggregate import Sum
 
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.textstats import (lm_score_batch,
                                                 unigram_vocab_counts)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    vocab = (ds.map_batches(unigram_vocab_counts, batch_format="pyarrow")
-             .groupby("tok").aggregate(Sum("n", alias_name="n"))
-             .to_pandas())  # bounded by vocabulary size
-    n = vocab["n"].to_numpy(np.float64)
+    vocab = exchange(
+        [ds.map_batches(unigram_vocab_counts, batch_format="pyarrow")],
+        [["tok"]], lambda t: t.group_by("tok", use_threads=False).aggregate(
+            [("n", "sum")])).to_pandas()  # bounded by vocabulary size
+    n = vocab["n_sum"].to_numpy(np.float64)
     order = np.argsort(vocab["tok"].to_numpy())
     toks = vocab["tok"].to_numpy()[order]
     lp_e6 = np.floor(-np.log(n[order] / n.sum()) * 1e6 + 0.5) \
@@ -2202,8 +2200,9 @@ def q_top_dup_segments(sf_dir: str):
     batches, so summing per-batch distinct-doc counts is exact — then one
     segment-keyed groupby-sum bounded by distinct segments, a total-order
     top-k, and a >1-occurrence filter."""
-    from ray.data.aggregate import Sum
+    import pyarrow.compute as pc
 
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.textstats import doc_segments
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -2218,21 +2217,15 @@ def q_top_dup_segments(sf_dir: str):
                          "n_occ": pa.array(g["n_occ"].to_numpy(np.int64)),
                          "n_docs": pa.array(g["n_docs"].to_numpy(np.int64))})
 
-    out = (ds.map_batches(combine, batch_format="pyarrow")
-           .groupby("seg")
-           .aggregate(Sum("n_occ", alias_name="n_occ"),
-                      Sum("n_docs", alias_name="n_docs")))
+    def total(t: pa.Table) -> pa.Table:
+        g = t.group_by("seg", use_threads=False).aggregate(
+            [("n_occ", "sum"), ("n_docs", "sum")]).rename_columns(
+            ["seg", "n_occ", "n_docs"])
+        return g.filter(pc.greater(g["n_occ"], 1))
 
-    def rn(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = pa.table({"seg": t["seg"].cast(pa.string()),
-                      "n_occ": t["n_occ"].cast(pa.int64()),
-                      "n_docs": t["n_docs"].cast(pa.int64())})
-        return t.filter(pc.greater(t["n_occ"], 1))
-
-    return (out.map_batches(rn, batch_format="pyarrow")
-            .sort(["n_occ", "seg"], descending=[True, False]).limit(20))
+    out = exchange([ds.map_batches(combine, batch_format="pyarrow")],
+                   [["seg"]], total)
+    return out.sort(["n_occ", "seg"], descending=[True, False]).limit(20)
 
 
 def q_pack_sequences(sf_dir: str, seq_len: int = 256, n_parts: int = 16):
@@ -2243,21 +2236,23 @@ def q_pack_sequences(sf_dir: str, seq_len: int = 256, n_parts: int = 16):
     (doc_id, n_tokens), materialized — the smallest possible intermediate
     (16 B/doc; at 10^12 docs this spills to the object store rather than
     re-tokenizing the corpus twice); (2) range-partition by doc_id
-    (bounds from a metadata-cheap min/max), per-range token totals via a
-    tiny groupby-sum pulled to the driver (n_parts rows) and exclusive-
-    scanned there; (3) one partition-parallel pass applies
+    (bounds from per-block min/max), per-range token totals via a tiny
+    range-keyed exchange pulled to the driver (n_parts rows) and
+    exclusive-scanned there; (3) one range-keyed exchange applies
     local-sort + segmented cumsum + the broadcast range offset. No
-    global sort, ONE small shuffle."""
-    from ray.data.aggregate import Max, Min, Sum
+    global sort."""
+    import pyarrow.compute as pc
 
+    from pcompress_ray.functions.ops import (block_rounds, exchange,
+                                             group_boundaries)
     from pcompress_ray.stages.textstats import doc_token_len
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     tpd = ds.map_batches(doc_token_len, batch_format="pyarrow") \
         .materialize()
 
-    mm = tpd.aggregate(Min("doc_id"), Max("doc_id"))
-    lo, hi = int(mm["min(doc_id)"]), int(mm["max(doc_id)"])
+    mm = block_rounds(tpd, lambda t: pc.min_max(t["doc_id"]).as_py())
+    lo, hi = min(m["min"] for m in mm), max(m["max"] for m in mm)
     width = max(1, (hi - lo) // n_parts + 1)
 
     def add_rp(t: pa.Table) -> pa.Table:
@@ -2266,25 +2261,26 @@ def q_pack_sequences(sf_dir: str, seq_len: int = 256, n_parts: int = 16):
               // width).astype(np.int32)
         return t.append_column("rp", pa.array(rp))
 
-    parted = tpd.map_batches(add_rp, batch_format="pyarrow")
-    totals = (parted.groupby("rp")
-              .aggregate(Sum("n_tokens", alias_name="tot")).to_pandas())
-    totals = totals.sort_values("rp")
-    offsets = dict(zip(
-        totals["rp"].to_numpy(np.int64),
-        (totals["tot"].cumsum() - totals["tot"]).to_numpy(np.int64)))
+    parted = tpd.map_batches(add_rp, batch_format="pyarrow").materialize()
+    totals = exchange([parted], [["rp"]], lambda t: t.group_by(
+        "rp", use_threads=False).aggregate([("n_tokens", "sum")])).to_pandas()
+    tot = np.zeros(n_parts, np.int64)
+    tot[totals["rp"].to_numpy(np.int64)] = totals["n_tokens_sum"]
+    offsets = np.cumsum(tot) - tot
 
-    def scan(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id")
-        n = g["n_tokens"].to_numpy(np.int64)
-        excl = np.cumsum(n) - n + offsets[int(g["rp"].iat[0])]
-        return pd.DataFrame({
-            "doc_id": g["doc_id"].to_numpy(np.int64),
-            "n_tokens": n,
-            "bin_id": (excl // seq_len).astype(np.int64)})
+    def scan(t: pa.Table) -> pa.Table:
+        # rp is monotone in doc_id, so each range is one contiguous run
+        t = t.sort_by("doc_id")
+        n = t["n_tokens"].to_numpy().astype(np.int64)
+        rp = t["rp"].to_numpy()
+        first, gid, _ = group_boundaries(rp)
+        excl = np.cumsum(n) - n
+        excl += offsets[rp] - excl[first][gid]
+        return pa.table({"doc_id": t["doc_id"].cast(pa.int64()),
+                         "n_tokens": pa.array(n),
+                         "bin_id": pa.array(excl // seq_len)})
 
-    return (parted.groupby("rp").map_groups(scan, batch_format="pandas")
-            .sort("doc_id"))
+    return exchange([parted], [["rp"]], scan).sort("doc_id")
 
 
 def q_lang_temperature_sample(sf_dir: str):
@@ -2296,13 +2292,18 @@ def q_lang_temperature_sample(sf_dir: str):
     fixed-width lowercase-hex threshold floor(rate*2^32) (IEEE sqrt is
     correctly rounded, so numpy and DuckDB produce the identical
     integer; rate>=1 languages get sentinel 'g', above every hex char).
-    Two stages: a tiny lang-count groupby pulled to the driver (bounded
+    Two stages: a tiny lang-count exchange pulled to the driver (bounded
     by #languages), then one streaming keep-filter pass."""
     import hashlib
 
+    from pcompress_ray.functions.ops import exchange
+
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-    counts = ds.groupby("lang").count().to_pandas()  # bounded by #langs
-    n = counts["count()"].to_numpy(np.float64)
+    counts = exchange([ds.select_columns(["lang"])], [["lang"]],
+                      lambda t: t.group_by("lang", use_threads=False)
+                      .aggregate([([], "count_all")])
+                      ).to_pandas()  # bounded by #langs
+    n = counts["count_all"].to_numpy(np.float64)
     nmin = n.min()
     thr = {}
     for lang, ni in zip(counts["lang"], n):
@@ -2510,15 +2511,15 @@ def q_token_doc_freq(sf_dir: str):
     """Corpus document-frequency top-50 (stopword/df extraction): per-batch
     per-doc-distinct partial counts → groupby-sum → sort/limit. Same
     map-side-combine shuffle shape as top_tokens."""
-    from ray.data.aggregate import Sum
-
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.textstats import token_doc_counts
 
     ds = _read(sf_dir, "documents", ["text"])
-    out = (ds.map_batches(token_doc_counts, batch_format="pyarrow")
-           .groupby("token").aggregate(Sum("df", alias_name="df")))
+    out = exchange([ds.map_batches(token_doc_counts, batch_format="pyarrow")],
+                   [["token"]], lambda t: t.group_by(
+                       "token", use_threads=False).aggregate([("df", "sum")]))
 
-    return (_typed(out, {"token": pa.string(), "df": pa.int64()})
+    return (_typed(out, {"token": pa.string(), "df": ("df_sum", pa.int64())})
             .sort(["df", "token"], descending=[True, False]).limit(50))
 
 
@@ -2526,7 +2527,7 @@ def q_length_buckets(sf_dir: str):
     """Per-(lang, power-of-2 token-length bucket) doc counts — the sequence
     length histogram a packing/curriculum stage reads to pick seq_len.
     Buckets are exact integer comparisons (no float log2) on both sides."""
-    from ray.data.aggregate import Count
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
@@ -2541,11 +2542,13 @@ def q_length_buckets(sf_dir: str):
         return pd.DataFrame({"lang": df["lang"].astype(str),
                              "bucket_lo": np.minimum(lo, 4096).astype(np.int64)})
 
-    out = ds.map_batches(bucketize, batch_format="pandas") \
-            .groupby(["lang", "bucket_lo"]).aggregate(Count(alias_name="n_docs"))
+    keys = ["lang", "bucket_lo"]
+    out = exchange([ds.map_batches(bucketize, batch_format="pandas")], [keys],
+                   lambda t: t.group_by(keys, use_threads=False)
+                   .aggregate([([], "count_all")]))
 
     return _typed(out, {"lang": pa.string(), "bucket_lo": pa.int64(),
-                        "n_docs": pa.int64()})
+                        "n_docs": ("count_all", pa.int64())})
 
 
 def q_shingle_novelty(sf_dir: str):
@@ -2756,30 +2759,30 @@ def q_pmi_bigrams(sf_dir: str):
     model broadcast like lm_quality (bounded by vocabulary, not corpus);
     bigram counts arrive map-side-combined like top_bigrams."""
     import ray
-    from ray.data.aggregate import Sum
 
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.textstats import (bigram_counts,
                                                 unigram_vocab_counts)
 
     MIN_AB = 5
     ds = _read(sf_dir, "documents", ["text"])
-    vocab = (ds.map_batches(unigram_vocab_counts, batch_format="pyarrow")
-             .groupby("tok").aggregate(Sum("n", alias_name="n"))
-             .to_pandas())  # bounded by vocabulary size
+    vocab = exchange(
+        [ds.map_batches(unigram_vocab_counts, batch_format="pyarrow")],
+        [["tok"]], lambda t: t.group_by("tok", use_threads=False).aggregate(
+            [("n", "sum")])).to_pandas()  # bounded by vocabulary size
     toks = vocab["tok"].to_numpy()
     order = np.argsort(toks)
     toks_sorted = toks[order]
-    cnt_sorted = vocab["n"].to_numpy(np.int64)[order]
+    cnt_sorted = vocab["n_sum"].to_numpy(np.int64)[order]
     n_total = int(cnt_sorted.sum())
     # int64 bound: lift numerator ≤ N²·1e6 — exact in int64 for N ≤ 3e6
     # tokens; beyond that fall back to arbitrary-precision Python ints
     use_np = n_total <= 3_000_000
     toks_ref, cnt_ref = ray.put(toks_sorted), ray.put(cnt_sorted)
 
-    big = (ds.map_batches(bigram_counts, batch_format="pyarrow")
-           .groupby("bigram").aggregate(Sum("n", alias_name="n_ab")))
-
-    def lift(df: pd.DataFrame) -> pd.DataFrame:
+    def lift(t: pa.Table) -> pd.DataFrame:
+        df = t.group_by("bigram", use_threads=False).aggregate(
+            [("n", "sum")]).rename_columns(["bigram", "n_ab"]).to_pandas()
         df = df[df["n_ab"].to_numpy() >= MIN_AB]
         if len(df) == 0:
             return pd.DataFrame({"bigram": pd.Series(dtype=str),
@@ -2800,7 +2803,8 @@ def q_pmi_bigrams(sf_dir: str):
                              "n_ab": n_ab,
                              "lift_e6": lift_e6.astype(np.int64)})
 
-    out = big.map_batches(lift, batch_format="pandas")
+    out = exchange([ds.map_batches(bigram_counts, batch_format="pyarrow")],
+                   [["bigram"]], lift)
 
     return (_typed(out, {"bigram": pa.string(), "n_ab": pa.int64(),
                          "lift_e6": pa.int64()})
@@ -3173,7 +3177,7 @@ def q_kmeans_clusters(sf_dir: str):
 def q_semdedup(sf_dir: str):
     """SemDeDup (Abbas et al. 2023) semantic dedup over the embeddings
     table (stages/semdedup.py): no-shuffle distributed k-means, then ONE
-    cluster-keyed map_groups exchange applying the deterministic
+    cluster-keyed exchange applying the deterministic
     farthest-from-centroid-first greedy cosine scan (eps=0.97). The
     embedding-space analog of pcompress's sketch->bucket->verify similarity
     index (rabin/rabin_dedup.c:1606-1617). Iterative k-means => no SQL twin
@@ -3197,14 +3201,15 @@ def q_weighted_sample(sf_dir: str):
     filter; the corpus never shuffles and never leaves the workers."""
     import hashlib
 
+    from pcompress_ray.functions.ops import block_rounds
+
     ds = _read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
 
-    def partial_w(t: pa.Table) -> pa.Table:
-        w = np.maximum(t["n_chars"].to_numpy(zero_copy_only=False), 1)
-        return pa.table({"w": pa.array([int(w.sum())], pa.int64())})
+    def partial_w(t: pa.Table) -> int:
+        return int(np.maximum(t["n_chars"].to_numpy(zero_copy_only=False),
+                              1).sum())
 
-    total_w = int(ds.map_batches(partial_w, batch_format="pyarrow")
-                  .sum("w"))
+    total_w = sum(block_rounds(ds, partial_w))
     target = 64
 
     def pick(t: pa.Table) -> pa.Table:
@@ -3399,27 +3404,32 @@ def q_nb_classify(sf_dir: str):
     driver memory) the broadcast swaps for a token-keyed
     grouped_partitions join, same as tfidf_top_term."""
     import ray
-    from ray.data.aggregate import Sum
 
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.textstats import (nb_score_batch,
                                                 source_token_counts)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    ctc = (ds.map_batches(source_token_counts, batch_format="pyarrow")
-           .groupby(["source", "tok"]).aggregate(Sum("n", alias_name="n"))
-           .to_pandas())  # bounded by classes x vocabulary
-    nd = (_read(sf_dir, "documents", ["source"])
-          .groupby("source").count().to_pandas())  # bounded by classes
+    keys = ["source", "tok"]
+    ctc = exchange([ds.map_batches(source_token_counts,
+                                   batch_format="pyarrow")], [keys],
+                   lambda t: t.group_by(keys, use_threads=False).aggregate(
+                       [("n", "sum")])
+                   ).to_pandas()  # bounded by classes x vocabulary
+    nd = exchange([_read(sf_dir, "documents", ["source"])], [["source"]],
+                  lambda t: t.group_by("source", use_threads=False)
+                  .aggregate([([], "count_all")])
+                  ).to_pandas()  # bounded by classes
 
     classes = np.sort(nd["source"].to_numpy())
-    ndocs = nd.set_index("source").loc[classes, "count()"] \
+    ndocs = nd.set_index("source").loc[classes, "count_all"] \
         .to_numpy(np.int64)
     vocab = np.sort(ctc["tok"].unique())
     V = vocab.size
     cmat = np.zeros((classes.size, V), np.int64)
     ci = np.searchsorted(classes, ctc["source"].to_numpy())
     ti = np.searchsorted(vocab, ctc["tok"].to_numpy())
-    cmat[ci, ti] = ctc["n"].to_numpy(np.int64)
+    cmat[ci, ti] = ctc["n_sum"].to_numpy(np.int64)
     tot = cmat.sum(axis=1)
     # same IEEE ops as the twin: int+1 -> double, / (tot+V) double, -ln
     lp = np.floor(-np.log((cmat + 1.0) / (tot[:, None] + float(V)))
@@ -3485,12 +3495,14 @@ def _link_push(ids: np.ndarray, v: np.ndarray, n: int, inv7: int = 0):
 
 def _contiguous_n(sf_dir: str, what: str) -> int:
     """Row count of documents, whose doc_ids must be exactly 0..n-1."""
-    from ray.data.aggregate import Max, Min
+    import pyarrow.compute as pc
+
+    from pcompress_ray.functions.ops import block_rounds
 
     ds = _read(sf_dir, "documents", ["doc_id"])
     n = ds.count()  # parquet metadata only
-    mm = ds.aggregate(Min("doc_id"), Max("doc_id"))
-    if int(mm["min(doc_id)"]) != 0 or int(mm["max(doc_id)"]) != n - 1:
+    mm = block_rounds(ds, lambda t: pc.min_max(t["doc_id"]).as_py())
+    if min(m["min"] for m in mm) != 0 or max(m["max"] for m in mm) != n - 1:
         raise ValueError(f"{what} synthesis needs contiguous doc_ids")
     return n
 

@@ -43,6 +43,9 @@ BENCH_CORPUS_DIR = f"/tmp/pcompress_ray_bench/pages_{N_BENCH_DOCS}"
 def run_leg() -> dict:
     import ray
 
+    import pcompress_ray
+
+    pcompress_ray.register_for_ray()  # before ray.init: see runtime.py
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     import logging
@@ -52,9 +55,6 @@ def run_leg() -> dict:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import pcompress_ray
-
-    pcompress_ray.register_for_ray()
     from pcompress_ray.config import PipelineConfig
     from pcompress_ray.pipelines.dedup import dedup_pipeline
     from pcompress_ray.sources.corpus import read_bench_corpus, write_bench_corpus

@@ -5,7 +5,7 @@ A from-scratch rebuild of the data-processing capabilities of gburd/pcompress
 similarity matching, segment-level LSH candidate generation) re-expressed as
 idiomatic Ray Data pipelines: ``ray.data.Dataset`` → ``map_batches`` over
 zero-copy Arrow batches, actor pools for stateful signature stages,
-``groupby`` shuffles replacing the reference's serialized in-memory index
+hash-exchange shuffles replacing the reference's serialized in-memory index
 (reference: ``rabin/global/index.c``), and union-find connected components
 producing cluster assignments.
 

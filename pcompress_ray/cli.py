@@ -24,14 +24,14 @@ import sys
 def _init_ray(num_cpus: int | None):
     import ray
 
+    import pcompress_ray
+
+    pcompress_ray.register_for_ray()  # before ray.init: see runtime.py
     if not ray.is_initialized():
         kwargs = {"include_dashboard": False}
         if num_cpus:
             kwargs.update(address="local", num_cpus=num_cpus)
         ray.init(**kwargs)
-    import pcompress_ray
-
-    pcompress_ray.register_for_ray()
 
 
 def _ensure_rank(ds):

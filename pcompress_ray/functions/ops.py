@@ -2,7 +2,14 @@
 
 The reference's only join-like operator is the in-memory hash index probe
 (rabin/global/index.c:485-558; J1/J2 in SURVEY §2.4), serialized by a
-semaphore ring. Here every keyed operator is one data-parallel exchange:
+semaphore ring. Here every keyed operator is one data-parallel exchange,
+and ``exchange`` is the package's only keyed shuffle: no Ray Data
+``groupby``/``aggregate`` runs anywhere. A keyed aggregate is an
+``exchange`` whose ``fn`` is Arrow's
+``t.group_by(keys, use_threads=False).aggregate(...)`` over the whole
+partition (single-threaded, so float sums add in one fixed order); an
+ungrouped reduction (sum, min, max) is ``block_rounds`` partials reduced
+in the driver.
 
 - ``exchange``: the hash-exchange primitive. It takes several Datasets,
   with key columns per input; all rows whose keys hash to the same
@@ -232,12 +239,11 @@ def fast_grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64):
     PARTITION, as one pandas DataFrame (all rows of every key that hashed
     there). The single-input pandas form of ``exchange``.
 
-    The groupby().map_groups() API calls the UDF once per GROUP — ~100 µs
-    of Python overhead per call, catastrophic for millions of tiny groups
-    (the chunk-hash / band-hash shuffles); here ``fn`` does its own
-    vectorized per-key logic over a whole partition. ``fn`` returns a
-    pa.Table or a pandas DataFrame (converted with pandas→arrow dtype
-    mapping).
+    ``fn`` does its own vectorized per-key logic over a whole partition:
+    one call per partition, not one per group, so millions of tiny groups
+    (the chunk-hash / band-hash shuffles) cost no per-group Python call.
+    ``fn`` returns a pa.Table or a pandas DataFrame (converted with
+    pandas→arrow dtype mapping).
     """
     return exchange([ds], [key_cols], lambda t: fn(t.to_pandas()), n_parts)
 
@@ -474,9 +480,6 @@ def band_join_count(left, right, left_key: str, left_val: str,
                       right.map_batches(right_rows, batch_format="pyarrow")],
                      [["__bkt"], ["__bkt"]], count_part, n_parts=n_parts)
 
-    # final per-key sum via grouped_partitions, NOT Ray groupby().aggregate:
-    # the latter runs per-key Python (~0.1-0.25 ms/key) — tens of seconds
-    # at 20k+ left keys (measured 36.7s -> ~5s for this stage at sf0.1)
     def sum_part(p: pd.DataFrame) -> pd.DataFrame:
         g = p.groupby(left_key, as_index=False)["__n"].sum()
         return pd.DataFrame({left_key: g[left_key].to_numpy(np.int64),

@@ -98,9 +98,12 @@ def dedup_increment_from_checkpoint(checkpoint_dir: str, new_pages_ds,
     # append-only rank contract: new docs are ranked by url among
     # themselves, shifted past the previous run's max (any incoming rank
     # column is ignored — global order is owned by the run history)
-    from pcompress_ray.functions.ops import zip_with_rank
+    import pyarrow.compute as pc
 
-    prev_max = int(prev_sig.max("rank"))
+    from pcompress_ray.functions.ops import block_rounds, zip_with_rank
+
+    prev_max = max(block_rounds(prev_sig.select_columns(["rank"]),
+                                lambda t: pc.max(t["rank"]).as_py()))
     if "rank" in new_pages_ds.schema().names:
         new_pages_ds = new_pages_ds.drop_columns(["rank"])
     new_pages_ds = zip_with_rank(new_pages_ds, "url")

@@ -37,13 +37,35 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / n
 
 
+def _merge_topk(partials, k: int, score: str):
+    """Merge per-batch partial top-k rows (query_id, neighbor_id, score)
+    into each query's exact top-k: one query-keyed exchange; per
+    partition, self-matches are dropped, rows sort by (query, score desc,
+    neighbor — the tie-break) and the first ``k`` of each query stay."""
+    import pyarrow.compute as pc
+
+    from pcompress_ray.functions.ops import exchange, group_boundaries
+
+    def topk(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.not_equal(t["neighbor_id"], t["query_id"])).sort_by(
+            [("query_id", "ascending"), (score, "descending"),
+             ("neighbor_id", "ascending")])
+        first, gid, _ = group_boundaries(t["query_id"].to_numpy())
+        rank = np.arange(len(t)) - np.flatnonzero(first)[gid]
+        return t.filter(pa.array(rank < k)).select(
+            ["query_id", "neighbor_id", score])
+
+    return exchange([partials], [["query_id"]], topk)
+
+
 def brute_force_topk(emb_ds, query_ids: np.ndarray, k: int = 5,
                      id_col: str = "vec_id", emb_col: str = "embedding"):
     """Top-k cosine neighbors for the given query vec_ids (excluding self).
 
     Streaming: per-batch partial top-k against the broadcast query matrix,
-    then one small groupby(query_id) merges partials. Never materializes the
-    corpus. Ties broken by neighbor_id (deterministic).
+    then one query-keyed exchange merges the partials (``_merge_topk``).
+    Never materializes the corpus. Ties broken by neighbor_id
+    (deterministic).
     """
     import ray
     from pcompress_ray.functions.ops import semi_join_filter
@@ -82,13 +104,7 @@ def brute_force_topk(emb_ds, query_ids: np.ndarray, k: int = 5,
     partials = emb_ds.select_columns([id_col, emb_col]).map_batches(
         partial, batch_format="pyarrow")
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["neighbor_id"] != g["query_id"]]
-        g = g.sort_values(["cosine", "neighbor_id"],
-                          ascending=[False, True]).head(k)
-        return g[["query_id", "neighbor_id", "cosine"]]
-
-    return partials.groupby("query_id").map_groups(topk, batch_format="pandas")
+    return _merge_topk(partials, k, "cosine")
 
 
 def _block_ids_matrix(t, id_col: str, emb_col: str):
@@ -200,7 +216,7 @@ def ivf_topk(emb_ds, query_ids: np.ndarray, k: int = 5, n_centroids: int = 64,
     Scale shape: centroids are trained once on a constant-size sample and
     broadcast (ray.put once); assignment + masked scoring happen inside one
     streaming map_batches; only per-batch partial top-k rows reach the final
-    small groupby(query_id). No full-corpus materialization anywhere.
+    query-keyed exchange. No full-corpus materialization anywhere.
     """
     import ray
 
@@ -257,13 +273,7 @@ def ivf_topk(emb_ds, query_ids: np.ndarray, k: int = 5, n_centroids: int = 64,
     partials = emb_ds.select_columns([id_col, emb_col]).map_batches(
         partial, batch_format="pyarrow")
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["neighbor_id"] != g["query_id"]]
-        g = g.sort_values(["cosine", "neighbor_id"],
-                          ascending=[False, True]).head(k)
-        return g[["query_id", "neighbor_id", "cosine"]]
-
-    return partials.groupby("query_id").map_groups(topk, batch_format="pandas")
+    return _merge_topk(partials, k, "cosine")
 
 
 def train_pq_codebooks(sample: np.ndarray, m: int = 8, ks: int = 64,
@@ -335,8 +345,8 @@ def pq_topk(emb_ds, query_ids: np.ndarray, k: int = 5, m: int = 8,
     ENCODE is one streaming pass producing the 32x-smaller codes dataset
     (persist it at scale — reused by every subsequent query); SCORING
     streams over codes with per-batch partial top-k; only partials reach
-    the final small groupby. Exactness is delegated to the recall gate in
-    tests (vs brute force), as for IVF/LSH."""
+    the final query-keyed exchange. Exactness is delegated to the recall
+    gate in tests (vs brute force), as for IVF/LSH."""
     import ray
 
     from pcompress_ray.functions.ops import semi_join_filter
@@ -390,14 +400,7 @@ def pq_topk(emb_ds, query_ids: np.ndarray, k: int = 5, m: int = 8,
 
     partials = codes_ds.map_batches(partial, batch_format="pyarrow")
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["neighbor_id"] != g["query_id"]]
-        g = g.sort_values(["adc_score", "neighbor_id"],
-                          ascending=[False, True]).head(k)
-        return g[["query_id", "neighbor_id", "adc_score"]]
-
-    return partials.groupby("query_id").map_groups(topk,
-                                                   batch_format="pandas")
+    return _merge_topk(partials, k, "adc_score")
 
 
 def ivfpq_topk(emb_ds, query_ids: np.ndarray, k: int = 5,
@@ -416,7 +419,7 @@ def ivfpq_topk(emb_ds, query_ids: np.ndarray, k: int = 5,
     constant-size sample and broadcast; ENCODE is one streaming pass
     emitting the ~32x-smaller codes dataset (persist and reuse at scale);
     SCORING streams over codes with per-batch partial top-k; only
-    partials reach the final small groupby(query_id). Recall is gated in
+    partials reach the final query-keyed exchange. Recall is gated in
     pytest against brute force, same as IVF / PQ / LSH.
     """
     import ray
@@ -504,14 +507,7 @@ def ivfpq_topk(emb_ds, query_ids: np.ndarray, k: int = 5,
 
     partials = codes_ds.map_batches(partial, batch_format="pyarrow")
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["neighbor_id"] != g["query_id"]]
-        g = g.sort_values(["adc_score", "neighbor_id"],
-                          ascending=[False, True]).head(k)
-        return g[["query_id", "neighbor_id", "adc_score"]]
-
-    return partials.groupby("query_id").map_groups(topk,
-                                                   batch_format="pandas")
+    return _merge_topk(partials, k, "adc_score")
 
 
 class HyperplaneLSH:
@@ -898,12 +894,14 @@ def kcenter_select(emb_ds, k: int = 8, seed_id: int | None = None,
     driver-sized by definition.
     """
     import pandas as pd
+    import pyarrow.compute as pc
     import ray
-    from ray.data.aggregate import Min
+
+    from pcompress_ray.functions.ops import block_rounds
 
     ds = emb_ds.select_columns([id_col, emb_col]).materialize()
     if seed_id is None:
-        seed_id = int(ds.aggregate(Min(id_col))[f"min({id_col})"])
+        seed_id = min(block_rounds(ds, lambda t: pc.min(t[id_col]).as_py()))
 
     def fetch_vec(target: int) -> np.ndarray:
         t = ds.filter(expr=f"{id_col} == {target}").take(1)
@@ -972,9 +970,9 @@ def kcenter_select_sampled(emb_ds, k: int = 64, sample_size: int = 8192,
     Returns (vec_id, order, min_cos_to_prev) — min(k, sample) rows.
     """
     import pandas as pd
-    import ray  # noqa: F401  (parity with kcenter_select's import surface)
-    from ray.data.aggregate import Min
+    import pyarrow.compute as pc
 
+    from pcompress_ray.functions.ops import block_rounds
     from pcompress_ray.hashing import splitmix64
 
     ds = emb_ds.select_columns([id_col, emb_col]).materialize()
@@ -985,7 +983,7 @@ def kcenter_select_sampled(emb_ds, k: int = 64, sample_size: int = 8192,
     if n == 0:
         return empty
     if seed_id is None:
-        seed_id = int(ds.aggregate(Min(id_col))[f"min({id_col})"])
+        seed_id = min(block_rounds(ds, lambda t: pc.min(t[id_col]).as_py()))
     # float->int may round UP to 2^64 at frac=1.0; clamp before uint64
     thr = np.uint64(min(int(min(1.0, sample_size / n) * ((1 << 64) - 1)),
                         (1 << 64) - 1))

@@ -9,9 +9,10 @@ integer math (float addition order can never change the result).
 
 Scale shape: ONE streaming pass emits (doc, term, tf, dl) rows for query
 terms only (dl computed in the same batch — a doc never spans batches);
-tiny df/N/total aggregates; contributions in one broadcast-consts map;
-per-doc integer sums via a doc-keyed exchange; global top-k by sort+limit
-of the (bounded) scored table.
+tiny df/N/total aggregates (a token-keyed exchange, per-block token
+totals); contributions in one broadcast-consts map; per-doc integer sums
+via a doc-keyed exchange; global top-k by sort+limit of the (bounded)
+scored table.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ B = 0.75
 def bm25_topk(ds, terms: list[str], k: int = 20,
               id_col: str = "doc_id", text_col: str = "text"):
     """documents Dataset -> top-k (doc_id, n_terms, score_e6) Dataset."""
-    from ray.data.aggregate import Count, Sum
-
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import (block_rounds, exchange,
+                                             grouped_partitions)
     from pcompress_ray.stages.textstats import doc_token_counts
 
     terms_arr = np.array(sorted(set(terms)), dtype=object)
@@ -56,11 +56,10 @@ def bm25_topk(ds, terms: list[str], k: int = 20,
                          "c": pa.array(c[mask]),
                          "dl": pa.array(dl_row[mask])})
 
-    def batch_token_total(t: pa.Table) -> pa.Table:
+    def block_token_total(t: pa.Table) -> int:
         tc = doc_token_counts(t, text_col=text_col, id_col=id_col)
-        tot = int(np.sum(tc["c"].to_numpy(zero_copy_only=False))) \
+        return int(np.sum(tc["c"].to_numpy(zero_copy_only=False))) \
             if len(tc) else 0
-        return pa.table({"tot": pa.array([tot], pa.int64())})
 
     rows = ds.map_batches(term_rows, batch_format="pyarrow").materialize()
     if rows.count() == 0:
@@ -71,11 +70,10 @@ def bm25_topk(ds, terms: list[str], k: int = 20,
             "n_terms": pa.array([], pa.int64()),
             "score_e6": pa.array([], pa.int64())}))
     n_docs = ds.count()
-    total_tokens = int(ds.map_batches(batch_token_total,
-                                      batch_format="pyarrow")
-                       .aggregate(Sum("tot"))["sum(tot)"])
-    df_tbl = rows.groupby("tok").aggregate(Count()).to_pandas()
-    df_map = dict(zip(df_tbl["tok"], df_tbl["count()"].astype(int)))
+    total_tokens = sum(block_rounds(ds, block_token_total))
+    df_tbl = exchange([rows], [["tok"]], lambda t: t.group_by(
+        "tok", use_threads=False).aggregate([([], "count_all")])).to_pandas()
+    df_map = dict(zip(df_tbl["tok"], df_tbl["count_all"].astype(int)))
     avgdl = total_tokens / n_docs
     idf = {t: float(np.log(1.0 + ((n_docs - df_map[t]) + 0.5)
                            / (df_map[t] + 0.5)))

@@ -15,8 +15,9 @@ Ray-Data shape
 1. ``kmeans_fit`` (stages/kmeans.py): no-shuffle Lloyd iterations —
    fixed-size per-block partials, rank-invariant init.
 2. ONE assignment pass fused with the payload (vec_id, cluster, embedding).
-3. ONE cluster-keyed exchange: ``groupby("cluster").map_groups`` — the only
-   shuffle, moving each embedding exactly once.
+3. ONE cluster-keyed ``exchange`` (functions/ops.py) — the only shuffle,
+   moving each embedding exactly once; each partition holds whole
+   clusters.
 4. Per-cluster greedy scan, fully deterministic: members ordered by
    (-dist_to_centroid, vec_id); a member is a duplicate iff its max cosine
    against the kept set is >= eps (dup_of = the kept member attaining that
@@ -39,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from pcompress_ray.functions.ops import exchange, group_boundaries
 from pcompress_ray.stages.ann import _matrix
 from pcompress_ray.stages.kmeans import kmeans_fit, kmeans_reference
 
@@ -97,22 +99,26 @@ def semdedup(emb_ds, k: int = 8, eps: float = 0.95, n_iter: int = 5,
 
     assigned = emb_ds.map_batches(assign, batch_format="pyarrow")
 
-    def dedup_group(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
+    def dedup_part(t: pa.Table) -> pa.Table:
+        t = t.sort_by("cluster")
         ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
-        cl = int(t["cluster"][0].as_py())
+        cl = t["cluster"].to_numpy(zero_copy_only=False).astype(np.int64)
         mat = _matrix(t[emb_col]).astype(np.float64)
-        keep, dup_of = _greedy_keep(ids, mat, cents[cl], eps)
+        keep = np.zeros(ids.size, dtype=bool)
+        dup_of = np.full(ids.size, -1, dtype=np.int64)
+        first, _, sizes = group_boundaries(cl)
+        for s, n in zip(np.flatnonzero(first), sizes):
+            keep[s:s + n], dup_of[s:s + n] = _greedy_keep(
+                ids[s:s + n], mat[s:s + n], cents[cl[s]], eps)
         return pa.table({
             id_col: pa.array(ids),
-            "cluster": pa.array(np.full(ids.size, cl, dtype=np.int64)),
+            "cluster": pa.array(cl),
             "keep": pa.array(keep.astype(np.int64)),
             "dup_of": pa.array(dup_of),
         })
 
-    return assigned.groupby("cluster").map_groups(
-        dedup_group, batch_format="pyarrow")
+    return exchange([assigned], [["cluster"]], dedup_part)
 
 
 def semdedup_reference(ids: np.ndarray, mat: np.ndarray, init: np.ndarray,

@@ -387,7 +387,7 @@ def substring_excise(spans_ds, pages_ds, min_len: int = 0,
                     f"{a}-{b}" for a, b in zip(ms.tolist(), me.tolist())))
         # explicit Arrow schema: an empty pandas block would degrade the
         # string column to Arrow null type and poison the join's schema
-        # unification (map_groups can emit empty groups)
+        # unification (a partition can hold no match)
         return pa.table({"rank": pa.array(rows["rank"], pa.int64()),
                          "cuts": pa.array(rows["cuts"], pa.string())})
 

@@ -371,3 +371,29 @@ def test_dedup_same_at_derived_and_capped_parts(ray_session, tmp_path,
     cap_edges, cap_clusters = run()
     pd.testing.assert_frame_equal(edges, cap_edges)
     pd.testing.assert_frame_equal(clusters, cap_clusters)
+
+
+def test_verify_join_fallback_matches_broadcast(ray_session, tmp_path):
+    """dedup_pipeline on a 400-page bench corpus gives the same edges and
+    clusters when verify takes its partitioned-join fallback (a sketch
+    broadcast budget of 0 bytes) as on the default sketch broadcast."""
+    import pcompress_ray
+    from pcompress_ray.pipelines.dedup import dedup_pipeline
+    from pcompress_ray.sources.corpus import (read_bench_corpus,
+                                              write_bench_corpus)
+
+    pcompress_ray.register_for_ray()
+    path = write_bench_corpus(str(tmp_path), 400, seed=1)
+
+    def run(cfg):
+        res = dedup_pipeline(read_bench_corpus(path), cfg)
+        edges = res.edges.to_pandas()
+        clusters = res.clusters.to_pandas()
+        return (edges.sort_values(list(edges.columns)).reset_index(drop=True),
+                clusters.sort_values("url").reset_index(drop=True))
+
+    edges, clusters = run(PipelineConfig())
+    assert (edges["kind"] == "near").any()
+    join_edges, join_clusters = run(PipelineConfig(verify_broadcast_bytes=0))
+    pd.testing.assert_frame_equal(edges, join_edges)
+    pd.testing.assert_frame_equal(clusters, join_clusters)

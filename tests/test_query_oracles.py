@@ -103,6 +103,31 @@ def test_query_matches_frozen_output(ray_session, name):
     _assert_frozen(name, _run(name))
 
 
+def test_q1_pricing_blocks_keep_columns(ray_session, caplog):
+    """Every output block of q1_pricing carries its declared columns, and
+    no step reports a block whose schema changed (an aggregate that emits
+    zero-column blocks for its empty partitions does)."""
+    import logging
+
+    import ray
+
+    from pcompress_ray.functions.ops import materialized_block_refs
+
+    q = e.queries()["q1_pricing"]
+    ray_data_log = logging.getLogger("ray.data")
+    ray_data_log.addHandler(caplog.handler)
+    try:
+        out = q(SF_DIR).materialize()
+    finally:
+        ray_data_log.removeHandler(caplog.handler)
+    assert "different schema" not in caplog.text
+    blocks = ray.get(materialized_block_refs(out))
+    assert blocks and out.count() > 0
+    for b in blocks:
+        assert list(b.column_names) == ["l_returnflag", "l_linestatus",
+                                        "sum_qty", "sum_revenue", "n_rows"]
+
+
 def _freeze(argv: list[str]) -> int:
     """Run every query once and write the fixture. With ``--check
     OTHER.json`` (a fixture written by an earlier, separate process),

@@ -41,12 +41,12 @@ def main():
         "audio_digest": audio_digest(),
     }
 
+    import pcompress_ray
+
+    pcompress_ray.register_for_ray()  # before ray.init: see runtime.py
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  logging_level="ERROR")
-    import pcompress_ray
-
-    pcompress_ray.register_for_ray()
     with tempfile.TemporaryDirectory() as td:
         digests["restore_digest"] = restore_digest(
             pages, os.path.join(td, "arch"))
