@@ -100,12 +100,39 @@ def _apply(fn, tables: list) -> pa.Table:
 
 
 def _inflight_cap() -> int:
-    """Input bytes that an exchange's submitted, unfinished tasks may hold
-    at once: 20% of the cluster object store, read once per exchange call
-    (an RPC of well under a millisecond, so nothing is cached)."""
+    """Input bytes that a ``bounded_submit`` loop's submitted, unfinished
+    tasks may hold at once: 20% of the cluster object store, read once per
+    loop (an RPC of well under a millisecond, so nothing is cached)."""
     import ray
 
     return int(ray.cluster_resources()["object_store_memory"] * 0.2)
+
+
+def bounded_submit():
+    """A ``submit(nbytes, task, *args)`` that returns ``task.remote(*args)``
+    and keeps the input bytes of its submitted, unfinished tasks under
+    ``_inflight_cap()``: before each launch, while those bytes plus the new
+    task's ``nbytes`` exceed the cap, the oldest unfinished task is waited
+    for (a task larger than the cap runs alone). A task has finished once
+    its last return is ready. ``exchange`` and the signature scan submit
+    every task through one of these."""
+    import ray
+
+    cap = _inflight_cap()
+    flight, held = deque(), 0
+
+    def submit(nbytes: int, task, *args):
+        nonlocal held
+        while flight and held + nbytes > cap:
+            ref, b = flight.popleft()
+            ray.wait([ref], fetch_local=False)
+            held -= b
+        out = task.remote(*args)
+        flight.append((out[-1] if isinstance(out, list) else out, nbytes))
+        held += nbytes
+        return out
+
+    return submit
 
 
 def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
@@ -137,12 +164,11 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
     blocks (the 3-way edge union at 40k docs: ~4.3 s of pure overhead for
     250k rows, vs ~0.5 s here).
 
-    Backpressure: tasks are submitted in order, slicers then reducers, and
-    before each one the input bytes of the tasks submitted but not yet
-    finished, plus its own, must fit 20% of the cluster object store;
-    until they do, the oldest unfinished task is waited for (a task larger
-    than that runs alone). A slicer's bytes come from its blocks' metadata,
-    a reducer's from the per-partition slice bytes the slicers return.
+    Backpressure: tasks are submitted in order, slicers then reducers,
+    through one ``bounded_submit`` loop, so the input bytes of the tasks
+    submitted but not yet finished stay within 20% of the cluster object
+    store. A slicer's bytes come from its blocks' metadata, a reducer's
+    from the per-partition slice bytes the slicers return.
     Without it, eager dispatch of every task outran spill (``OutOfDiskError``
     in a slicer at 1.44M docs on a 14 GB corpus against a 37.6 GiB store,
     BENCH_LOCAL.md round 5); with it, inputs several times the store size
@@ -197,22 +223,7 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
             return pa.table({})  # no rows, and no schema to hand fn
         return _apply(fn, tables)
 
-    cap = _inflight_cap()
-    flight, held = deque(), 0
-
-    def submit(nbytes: int, task, *args):
-        # the docstring's backpressure; a task's last return is ready once
-        # the task has finished
-        nonlocal held
-        while flight and held + nbytes > cap:
-            ref, b = flight.popleft()
-            ray.wait([ref], fetch_local=False)
-            held -= b
-        out = task.remote(*args)
-        flight.append((out[-1] if isinstance(out, list) else out, nbytes))
-        held += nbytes
-        return out
-
+    submit = bounded_submit()
     rem = ray.remote(slicer).options(num_returns=P + 1)
     per_input = max(1, _MAX_SLICERS // len(inputs))
     slices = []

@@ -11,8 +11,6 @@ Everything is seed-stable across processes — no reliance on PYTHONHASHSEED.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 
@@ -60,6 +58,31 @@ def _u64_inv(a: int) -> int:
 _POLY_M_INV = U64(_u64_inv(int(_POLY_M)))
 
 
+def _powers(base: np.uint64, n: int) -> np.ndarray:
+    """[1, base, base^2, ..., base^(n-1)] in the 2^64 ring."""
+    w = np.empty(n, U64)
+    w[0] = 1
+    w[1:] = base
+    return np.cumprod(w, out=w)
+
+
+_POW_BITS = 12
+# bytes per tokenizer pass: a pass holds ~14 bytes of temporaries per byte,
+# and a small one stays in cache
+_TOK_SEG = 1 << 16
+
+
+def _pow_split(base: np.uint64, n: int):
+    """(hi, lo) with base^i == hi[i >> _POW_BITS] * lo[i & (2^_POW_BITS - 1)]
+    in the 2^64 ring for every i < n: two short ``cumprod`` passes (4,096
+    and n/4,096 long) in place of one over n: as full ``cumprod`` passes,
+    the tokenizer's two power tables cost ~95 us/doc. They are not cached
+    in module globals: the package is pickled by value, so every function
+    shipped to a worker would carry, and keep, its own copy."""
+    lo = _powers(base, (1 << _POW_BITS) + 1)
+    return _powers(lo[-1], (n >> _POW_BITS) + 1), lo[:-1]
+
+
 def token_hashes_bytes(buf: np.ndarray, doc_offs: np.ndarray):
     """Vectorized tokenizer + 64-bit token hasher over a concatenated UTF-8
     byte buffer — NO per-token Python strings (the regex-findall +
@@ -74,6 +97,10 @@ def token_hashes_bytes(buf: np.ndarray, doc_offs: np.ndarray):
     (doc_shingles, SignatureStage, stop shingles), so every oracle
     recomputes the same values.
 
+    Documents are tokenized in passes of about ``_TOK_SEG`` bytes (a longer
+    document is a pass of its own), since token hashes do not depend on
+    where a token sits.
+
     Hashing: prefix polynomial in the 2^64 ring. S[i] = Σ_{j<i} b[j]·M^j, so
     a token spanning [s, e) hashes to (S[e]−S[s])·M^{−s} — position-
     independent (the same token bytes hash identically anywhere), finalized
@@ -84,6 +111,25 @@ def token_hashes_bytes(buf: np.ndarray, doc_offs: np.ndarray):
     them). Returns (th uint64[ntok] in document order, tok_doc int64[ntok],
     counts int64[ndocs]).
     """
+    ndocs = int(doc_offs.size) - 1
+    if ndocs <= 1 or buf.size <= _TOK_SEG:
+        return _token_pass(buf, doc_offs)
+    # pass k starts at the first document starting at or after k·_TOK_SEG
+    bounds = np.unique(np.concatenate([
+        [0], np.searchsorted(doc_offs[:-1],
+                             np.arange(_TOK_SEG, buf.size, _TOK_SEG)),
+        [ndocs]])).tolist()
+    parts = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lo = doc_offs[a]
+        th, tok_doc, counts = _token_pass(buf[lo : doc_offs[b]],
+                                          doc_offs[a : b + 1] - lo)
+        parts.append((th, tok_doc + a, counts))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _token_pass(buf: np.ndarray, doc_offs: np.ndarray):
+    """``token_hashes_bytes`` in one pass."""
     n = int(buf.size)
     ndocs = int(doc_offs.size) - 1
     empty = (np.empty(0, U64), np.empty(0, np.int64),
@@ -103,18 +149,17 @@ def token_hashes_bytes(buf: np.ndarray, doc_offs: np.ndarray):
     ends = np.flatnonzero(is_end) + 1
     if starts.size == 0:
         return empty
-    W = np.empty(n, U64)
-    W[0] = 1
-    W[1:] = _POLY_M
-    np.cumprod(W, out=W)
-    Winv = np.empty(n, U64)
-    Winv[0] = 1
-    Winv[1:] = _POLY_M_INV
-    np.cumprod(Winv, out=Winv)
-    S = np.empty(n + 1, U64)
+    # S in one n-long buffer (the kernel's largest): M^j, times b[j], summed
+    hi, lo = _pow_split(_POLY_M, n)
+    S = np.empty(hi.size * lo.size + 1, U64)
     S[0] = 0
-    np.cumsum(W * buf, out=S[1:])
-    h_raw = (S[ends] - S[starts]) * Winv[starts]
+    np.multiply(hi[:, None], lo, out=S[1:].reshape(hi.size, lo.size))
+    P = S[1 : n + 1]
+    P *= buf
+    np.cumsum(P, out=P)
+    hi, lo = _pow_split(_POLY_M_INV, n)  # M^-s, needed at token starts only
+    h_raw = (S[ends] - S[starts]) * (hi[starts >> _POW_BITS]
+                                     * lo[starts & ((1 << _POW_BITS) - 1)])
     th = splitmix64(splitmix64(h_raw) ^ (ends - starts).astype(U64))
     tok_doc = np.searchsorted(doc_offs, starts, side="right") - 1
     counts = np.bincount(tok_doc, minlength=ndocs).astype(np.int64)
@@ -177,16 +222,6 @@ def shingle_hashes(token_hashes: np.ndarray, k: int) -> np.ndarray:
     for j in range(k):
         out = splitmix64(out ^ token_hashes[j : n - k + 1 + j])
     return out
-
-
-def sha256_u64(data: bytes) -> int:
-    """First 8 bytes of SHA-256 as uint64 (chunk identity key, M3 analog)."""
-    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
-
-
-def md5_hex(data: bytes) -> str:
-    """MD5 hex digest — matches DuckDB's md5() for oracle parity."""
-    return hashlib.md5(data).hexdigest()
 
 
 def minhash_params(num_perm: int, seed: int):

@@ -42,6 +42,10 @@ from pcompress_ray.stages.verify import verify_candidates
 SIG_COLUMNS = ["url", "rank", "text_sha256", "n_chunks", "chunk_hashes",
                "chunk_lengths", "n_tokens", "n_shingles",
                "band_hashes", "simhash", "kmv"]
+# the pages schema a scan with no input schema at all types its result by
+_NO_PAGES = pa.table({"url": pa.array([], pa.string()),
+                      "rank": pa.array([], pa.int64()),
+                      "text": pa.array([], pa.string())})
 
 
 @dataclass
@@ -54,36 +58,87 @@ class DedupResult:
     lineage: object = None  # pa.Table — one row per (stage, block)
 
 
+def _scan_task(cfg: PipelineConfig, stop_ref):
+    """The signature scan's task body: ``scan(*blocks)`` concatenates its
+    input blocks and runs extract → text_sha → chunker → SignatureStage
+    over ``cfg.batch_size``-row slices, returning only ``SIG_COLUMNS``.
+
+    Stateless tasks + per-worker-process instance cache: a worker loads a
+    shipped function once and keeps it, so the default-argument dict holds
+    one set of stage instances per worker and scan (T3's setup-once, no
+    actor pool). Actors would be fresh processes per run that pay a slow
+    first-touch warm-up, while the MinHash tables build in ~1 ms."""
+    from pcompress_ray.functions.ops import _arrow
+    from pcompress_ray.registry import resolve
+
+    def scan(*blocks, _cache: dict = {}) -> pa.Table:
+        if not _cache:
+            # chunker resolved through the plugin registry (SURVEY §2.10) —
+            # "rabin" (CDC) by default, "fixed" = the reference's -F mode
+            _cache["stages"] = (Extractor(),
+                                resolve("chunker", cfg.chunker)(cfg),
+                                SignatureStage(cfg, stop_ref=stop_ref))
+        extract, chunker, sign = _cache["stages"]
+        t = pa.concat_tables([_arrow(b) for b in blocks],
+                             promote_options="permissive")
+        step = cfg.batch_size
+        return pa.concat_tables([
+            sign(chunker(add_text_sha(extract(t.slice(i, step)))))
+            .select(SIG_COLUMNS) for i in range(0, max(len(t), 1), step)])
+
+    return scan
+
+
 def build_signatures(pages_ds, cfg: PipelineConfig, stop_ref=None):
-    """extract → text_sha → CDC → MinHash/LSH/SimHash, one streaming pass.
+    """extract → text_sha → CDC → MinHash/LSH/SimHash: the signature scan,
+    as raw Ray tasks.
+
+    Ray Data reads ``pages_ds`` (one execution, streamed through
+    ``iter_internal_ref_bundles``); consecutive non-empty read blocks are
+    grouped until a group holds at least ``cfg.batch_size`` rows, and each
+    group is one ``_scan_task`` task, submitted through ``ops``'
+    byte-bounded ``bounded_submit`` loop as soon as it fills, so the read
+    and the scan overlap. Empty blocks get no task. The result is a Dataset
+    over the tasks' output blocks, in input order, carrying
+    ``SIG_COLUMNS``; with no input rows it is one typed empty block.
+
+    Why not ``map_batches``: on 4 CPUs Ray Data kept about 2.2 of them busy
+    in this scan (its per-operator resource reservation splits the CPUs
+    between the read and the map), and none of its settings closed the gap
+    (the attribution table is in CHANGES.md). One task per read block
+    (~57 rows) would leave 5x more, smaller output blocks, which slows
+    every exchange downstream.
 
     ``stop_ref``: optional ray ObjectRef of a sorted uint64 stop-shingle
     array (boilerplate suppression for banding; see compute_stop_shingles).
     """
-    from pcompress_ray.registry import resolve
+    import ray
+    import ray.data as rd
 
-    ds = pages_ds.map_batches(Extractor(), batch_format="pyarrow",
-                              batch_size=cfg.batch_size)
-    ds = ds.map_batches(add_text_sha, batch_format="pyarrow",
-                        batch_size=cfg.batch_size)
-    # chunker resolved through the plugin registry (SURVEY §2.10) —
-    # "rabin" (CDC) by default, "fixed" = the reference's -F mode
-    ds = ds.map_batches(resolve("chunker", cfg.chunker)(cfg),
-                        batch_format="pyarrow", batch_size=cfg.batch_size)
-    # stateless tasks + per-worker-process instance cache: same
-    # setup-once-per-worker semantics as an actor pool (T3), but reuses
-    # Ray's long-lived task workers — actors are fresh processes per
-    # execution and pay a slow first-touch warm-up each run, while the
-    # MinHash tables are rebuilt in ~1 ms.
-    def sig_fn(batch: pa.Table, _cache: dict = {}) -> pa.Table:
-        stage = _cache.get("stage")
-        if stage is None:
-            stage = _cache["stage"] = SignatureStage(cfg, stop_ref=stop_ref)
-        return stage(batch)
+    from pcompress_ray.functions.ops import bounded_submit
 
-    ds = ds.map_batches(sig_fn, batch_format="pyarrow",
-                        batch_size=cfg.batch_size)
-    return ds.select_columns(SIG_COLUMNS)
+    scan = _scan_task(cfg, stop_ref)
+    task, submit = ray.remote(scan), bounded_submit()
+    refs, group, rows, nbytes, schema = [], [], 0, 0, None
+    for bundle in pages_ds.iter_internal_ref_bundles():
+        if schema is None and isinstance(bundle.schema, pa.Schema) \
+                and bundle.schema.names:
+            schema = bundle.schema
+        for ref, md in bundle.blocks:
+            if not md.num_rows:
+                continue
+            group.append(ref)
+            rows += md.num_rows
+            nbytes += md.size_bytes or 0
+            if rows >= cfg.batch_size:
+                refs.append(submit(nbytes, task, *group))
+                group, rows, nbytes = [], 0, 0
+    if group:
+        refs.append(submit(nbytes, task, *group))
+    if not refs:
+        empty = schema.empty_table() if schema is not None else _NO_PAGES
+        return rd.from_arrow(scan(empty))
+    return rd.from_arrow_refs(refs)
 
 
 def union_edges(*edge_dss, cfg: PipelineConfig | None = None):

@@ -5,16 +5,22 @@ Document-level reimplementation of the reference's similarity machinery:
 - per-block K-min-values sketch (min-heap K-smallest over the block's u64
   words + XXH32, rabin/rabin_dedup.c:684-706, 734-754) and the per-segment
   bottom-k sketch over sorted chunk SHA-256s (rabin/rabin_dedup.c:921-994)
-  → 128-permutation MinHash over token shingles (``minhash_signature``) plus
-  a bottom-k (KMV) sketch of the shingle set for near-exact Jaccard at
-  verify time,
+  → 128-permutation MinHash over token shingles plus a bottom-k (KMV)
+  sketch of the shingle set for near-exact Jaccard at verify time,
 - the ~20 similarity keys per segment probed against the similarity index
   (rabin/rabin_dedup.c:1020-1036) → b×r LSH band hashes emitted as columns,
-  later explode + groupby (the shuffle replaces index.c's shared hashtable).
+  later exploded and hash-exchanged by band (``ops.exchange`` replaces
+  index.c's shared hashtable).
+
+Whole-batch kernels: ``shingle_sets`` tokenizes and shingles a whole
+string column at once, and both ``SignatureStage`` and the
+stop-shingle pass (``compute_stop_shingles``) use it, so no document is
+tokenized on its own; ``batch_simhash`` is one segment sum per batch.
 
 Stateful-stage shape (SURVEY §2.3 T3, create_dedupe_context analog): the
 permutation table is built once in ``__init__`` and reused across batches —
-``build_signatures`` keeps one instance per worker process.
+each worker process running ``build_signatures``' scan tasks keeps one
+instance per scan.
 """
 
 from __future__ import annotations
@@ -26,9 +32,8 @@ from pcompress_ray.config import PipelineConfig
 from pcompress_ray.hashing import (
     combine_rows,
     minhash_params,
-    minhash_signature,
     shingle_hashes,
-    simhash,
+    splitmix64,
     token_hashes_bytes,
     token_hashes_text,
     utf8_column_buffer,
@@ -62,6 +67,62 @@ def exact_jaccard(a: np.ndarray, b: np.ndarray) -> float:
     return inter / (a.size + b.size - inter)
 
 
+def shingle_sets(col, k: int):
+    """Tokenize a whole string column with the vectorized byte tokenizer
+    (``token_hashes_bytes``; no per-token strings) and return, per
+    document, what ``doc_shingles`` returns for its text.
+
+    → (token hashes of every document, in document order; int64 per-doc
+    token counts; list of per-doc sorted unique uint64 shingle arrays).
+    Shingle windows run over the whole batch at once and never cross a
+    document (a window ending past its document's last token is dropped).
+    """
+    th_all, _, counts = token_hashes_bytes(*utf8_column_buffer(col))
+    total = int(counts.sum())
+    G = np.zeros(0, dtype=U64)
+    if total >= k:
+        G = np.zeros(total - k + 1, dtype=U64)
+        for j in range(k):
+            G = splitmix64(G ^ th_all[j : total - k + 1 + j])
+    ends = np.cumsum(counts)
+    sets = []
+    for c, e in zip(counts.tolist(), ends.tolist()):
+        if c == 0:
+            sets.append(np.empty(0, dtype=U64))
+        elif c >= k:
+            sets.append(np.unique(G[e - c : e - k + 1]))
+        else:
+            # short doc: the whole token sequence is one shingle
+            sets.append(shingle_hashes(th_all[e - c : e], c))
+    return th_all, counts, sets
+
+
+# bit j of byte value v, for v in 0..255: (256, 8) int64
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little").astype(np.int64)
+
+
+def batch_simhash(th_all: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``hashing.simhash`` of every document of a batch (uint64 per doc, 0
+    for a token-free doc) from the concatenated token hashes and per-doc
+    token counts, as one batch-wide segment sum of the bit votes: for each
+    of the 8 byte positions of a token hash, one ``bincount`` counts every
+    (doc, byte value), and the (256, 8) bit table turns those counts into
+    per-doc set-bit counts. Small temporaries only: a (tokens, 64) bit
+    matrix costs more in first-touch page faults than the votes."""
+    n = counts.size
+    ones = np.zeros((n, 64), dtype=np.int64)
+    if th_all.size:
+        doc_base = np.repeat(np.arange(0, n * 256, 256), counts)
+        by = th_all.view(np.uint8).reshape(-1, 8)  # little-endian bytes
+        for p in range(8):
+            hist = np.bincount(doc_base + by[:, p], minlength=n * 256)
+            ones[:, 8 * p : 8 * p + 8] = hist.reshape(n, 256) @ _BYTE_BITS
+    votes = ones * 2 - counts[:, None]
+    return np.packbits(votes > 0, axis=1,
+                       bitorder="little").view("<u8").ravel().astype(U64)
+
+
 def compute_stop_shingles(pages_ds, cfg: PipelineConfig,
                           sample_docs: int = 1024,
                           df_threshold: float = 0.5) -> np.ndarray:
@@ -76,35 +137,40 @@ def compute_stop_shingles(pages_ds, cfg: PipelineConfig,
     parallelism. The prefix-vs-strided tradeoff is acceptable because stop
     shingles only suppress banding (recall aid); verification Jaccard always
     uses the full shingle set.
+
+    One ``ops.block_rounds`` task per sampled block extracts and shingles
+    its docs with the batch tokenizer (``shingle_sets``) and returns (docs,
+    unique shingles, the number of its docs holding each); the driver sums
+    the counts per shingle.
     """
+    from pcompress_ray.functions.ops import block_rounds
     from pcompress_ray.stages.extract import Extractor
 
     # projection pushdown: the sample pass only needs the raw content
-    cols = pages_ds.schema().names
+    cols = getattr(pages_ds.schema(), "names", None)
+    if not cols:  # Ray Data drops the schema of an input filtered to nothing
+        return np.empty(0, dtype=np.uint64)
     need = ["text_norm"] if "text_norm" in cols \
         else ["html"] if "html" in cols else ["text"]
-    sampled = pages_ds.select_columns(need).limit(sample_docs)
+    k = cfg.shingle_k
 
-    def sample_shingles(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
+    def doc_counts(t: pa.Table) -> tuple:
         if "text_norm" not in t.column_names:
             t = Extractor()(t)
-        outs = []
-        for txt in t["text_norm"].to_pylist():
-            outs.append(doc_shingles(txt, cfg.shingle_k).tobytes())
-        return pa.table({"sh": pa.array(outs, pa.binary())})
+        sets = shingle_sets(t["text_norm"], k)[2]
+        vals, cnts = np.unique(np.concatenate(sets), return_counts=True)
+        return len(t), vals, cnts
 
-    rows = sampled.map_batches(sample_shingles, batch_format="pyarrow") \
-                  .take_all()
-    n_sampled = len(rows)
+    parts = block_rounds(pages_ds.select_columns(need).limit(sample_docs),
+                         doc_counts)
+    n_sampled = sum(p[0] for p in parts)
     if n_sampled == 0:
         return np.empty(0, dtype=np.uint64)
-    all_sh = np.concatenate([np.frombuffer(r["sh"], dtype=np.uint64)
-                             for r in rows])
-    if all_sh.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    vals, cnts = np.unique(all_sh, return_counts=True)
-    return vals[cnts >= df_threshold * n_sampled]
+    vals, inv = np.unique(np.concatenate([p[1] for p in parts]),
+                          return_inverse=True)
+    df = np.bincount(inv, weights=np.concatenate([p[2] for p in parts]),
+                     minlength=vals.size)
+    return vals[df >= df_threshold * n_sampled]
 
 
 def _u64_list_array(mat: np.ndarray) -> pa.Array:
@@ -118,18 +184,22 @@ def _u64_list_array(mat: np.ndarray) -> pa.Array:
 class SignatureStage:
     """Signature stage: text_norm → minhash, bands, simhash, kmv.
 
-    ``build_signatures`` runs it as a stateless ``map_batches`` task with
-    one cached instance per worker process (no actor pool).
+    A batch is tokenized and shingled by one call (``shingle_sets``) and
+    its SimHashes are one segment sum (``batch_simhash``); only the
+    per-doc unique, stop filtering and MinHash packing loop over docs.
+    ``build_signatures`` runs it inside its scan tasks, one instance per
+    worker process and scan (no actor pool).
 
     Output columns appended:
       - ``n_tokens:int32``
       - ``n_shingles:int32``
       - ``minhash: fixed-size list<uint64>[num_perm]`` (stored as list)
       - ``band_hashes: list<uint64>[lsh_bands]`` — band b's hash combines
-        rows [b*r, (b+1)*r); the groupby key later is (band_id, band_hash)
+        rows [b*r, (b+1)*r); the exchange key later is (band_id, band_hash)
       - ``simhash: uint64``
-      - ``kmv: list<uint64>`` — bottom-k shingle hashes (k = cfg.kmv_k) for
-        near-exact Jaccard verification without re-reading text
+      - ``kmv: binary`` — the bottom-k shingle hashes (k = cfg.kmv_k) as
+        packed uint64s, for near-exact Jaccard verification without
+        re-reading text
     """
 
     def __init__(self, cfg: PipelineConfig | None = None, text_col: str = "text_norm",
@@ -149,145 +219,85 @@ class SignatureStage:
         else:
             self.stop = None
 
-    def _drop_stop(self, sh: np.ndarray) -> np.ndarray:
+    def _band_set(self, sh: np.ndarray) -> np.ndarray:
+        """The shingles a doc is MinHashed and banded on: its full set minus
+        stop shingles, or the full set when that leaves under half of it
+        or fewer than 4 — a template-dominated doc's residual
+        under-represents similarity (two near-identical chrome-heavy pages
+        share template, not residual). Such docs cluster into a few mega
+        buckets, which the salted-window path handles linearly."""
         if self.stop is None or self.stop.size == 0 or sh.size == 0:
             return sh
-        idx = np.searchsorted(self.stop, sh)
-        idx_c = np.minimum(idx, self.stop.size - 1)
-        hit = self.stop[idx_c] == sh
-        return sh[~hit]
+        idx = np.minimum(np.searchsorted(self.stop, sh), self.stop.size - 1)
+        band = sh[self.stop[idx] != sh]
+        return sh if band.size * 2 < sh.size or band.size < 4 else band
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        k = cfg.shingle_k
-        batch = batch.replace_schema_metadata(None)
-        n = len(batch)
-        n_tokens = np.zeros(n, dtype=np.int32)
-        n_shingles = np.zeros(n, dtype=np.int32)
-        sigs = np.full((n, cfg.num_perm), np.iinfo(np.uint64).max, dtype=U64)
-        simhashes = np.zeros(n, dtype=U64)
-        kmvs: list[bytes] = [b""] * n
+    def _minhash(self, sets: list) -> np.ndarray:
+        """(n, num_perm) MinHash signatures; an empty set keeps all-ones.
+        Size-sorted doc groups are padded to rectangles and each permutation
+        is one dense masked min (reduceat is ~10x slower)."""
+        from pcompress_ray.stages.cdc import _scratch
 
-        # --- tokenize + hash the whole batch in one vectorized byte pass
-        # (zero-copy from the Arrow data buffer; no per-token strings) ---
-        buf, doc_offs = utf8_column_buffer(batch[self.text_col])
-        th_all, _tok_doc, counts = token_hashes_bytes(buf, doc_offs)
-        n_tokens[:] = counts
-        total = int(counts.sum())
-        if total == 0:
-            out = batch.append_column("n_tokens", pa.array(n_tokens, type=pa.int32()))
-            out = out.append_column("n_shingles", pa.array(n_shingles, type=pa.int32()))
-            out = out.append_column("minhash", _u64_list_array(sigs))
-            bands0 = np.zeros((n, cfg.lsh_bands), dtype=U64)
-            r0 = cfg.lsh_rows
-            for bnd in range(cfg.lsh_bands):
-                bands0[:, bnd] = combine_rows(sigs[:, bnd * r0:(bnd + 1) * r0], seed=bnd + 1)
-            out = out.append_column("band_hashes", _u64_list_array(bands0))
-            out = out.append_column("simhash", pa.array(simhashes, type=pa.uint64()))
-            out = out.append_column("kmv", pa.array(kmvs, type=pa.binary()))
-            return out
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        ends = np.cumsum(counts)
-
-        # --- global k-shingle pass (windows never cross docs: masked) ---
-        if total >= k:
-            G = np.zeros(total - k + 1, dtype=U64)
-            for j in range(k):
-                z = G ^ th_all[j : total - k + 1 + j]
-                z = (z + np.uint64(0x9E3779B97F4A7C15))
-                z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-                z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-                G = z ^ (z >> np.uint64(31))
-        else:
-            G = np.zeros(0, dtype=U64)
-
-        # --- simhash: one unpackbits (uint8, small), per-doc slice sums
-        # (big int64 cumsum buffers page-fault badly in this sandbox) ---
-        bits = np.unpackbits(th_all.view(np.uint8).reshape(-1, 8), axis=1,
-                             bitorder="little")  # (total, 64) uint8
-        w64 = (np.uint64(1) << np.arange(64, dtype=np.uint64))
-        for i in range(n):
-            c = int(counts[i])
-            if c == 0:
-                continue
-            votes = bits[starts[i] : ends[i]].sum(axis=0, dtype=np.int64) * 2 - c
-            simhashes[i] = ((votes > 0).astype(np.uint64) * w64).sum()
-
-        # --- per-doc unique shingles (C-speed sort per slice) ---
-        # full set → kmv / n_shingles; stop-filtered set → MinHash/banding
-        sh_per_doc: list[np.ndarray] = []
-        for i in range(n):
-            c = int(counts[i])
-            if c == 0:
-                sh_per_doc.append(np.empty(0, dtype=U64))
-                continue
-            if c >= k:
-                sh = np.unique(G[starts[i] : ends[i] - k + 1])
-            else:
-                # short doc: whole token sequence as one shingle
-                sh = np.unique(shingle_hashes(th_all[starts[i]:ends[i]], c))
-            n_shingles[i] = sh.size
-            kmvs[i] = sh[: cfg.kmv_k].tobytes()
-            sh_band = self._drop_stop(sh)
-            if sh_band.size * 2 < sh.size or sh_band.size < 4:
-                # template-dominated doc (>50% stop shingles): the residual
-                # under-represents similarity (two near-identical chrome-heavy
-                # pages share template, not residual) — band on the FULL set.
-                # Such docs cluster into a few mega buckets, which the
-                # salted-window path handles linearly.
-                sh_band = sh
-            sh_per_doc.append(sh_band)
-
-        # --- minhash: size-sorted doc groups padded to rectangles; plain
-        # vectorized min per perm (reduceat is ~10x slower than dense min) ---
         MAXU = np.iinfo(np.uint64).max
-        sh_sizes = np.array([s.size for s in sh_per_doc], dtype=np.int64)
-        order = np.argsort(sh_sizes, kind="stable")
-        order = order[sh_sizes[order] > 0]
+        sigs = np.full((len(sets), self.cfg.num_perm), MAXU, dtype=U64)
+        sizes = np.array([s.size for s in sets], dtype=np.int64)
+        order = np.argsort(sizes, kind="stable")
+        order = order[sizes[order] > 0]
         gi = 0
         while gi < order.size:
             # group docs of similar size: rectangle capped at ~4M cells
-            L = max(1, int(sh_sizes[order[gi]]))
+            L = max(1, int(sizes[order[gi]]))
             m_cap = max(1, 4_000_000 // max(L * 2, 1))
             gj = gi
             Lmax = L
             while gj < order.size and gj - gi < m_cap:
-                sz = int(sh_sizes[order[gj]])
+                sz = int(sizes[order[gj]])
                 if sz > 2 * L and gj > gi:
                     break  # keep padding waste bounded
                 Lmax = sz
                 gj += 1
             idxs = order[gi:gj]
-            from pcompress_ray.stages.cdc import _scratch
-
             cells = idxs.size * Lmax
             P = _scratch("sig_P", cells, U64).reshape(idxs.size, Lmax)
             P[:] = 0
             valid = _scratch("sig_valid", cells, bool).reshape(idxs.size, Lmax)
             valid[:] = False
             for row, di in enumerate(idxs):
-                s = sh_per_doc[di]
+                s = sets[di]
                 P[row, : s.size] = s
                 valid[row, : s.size] = True
             # one reusable rectangle for all 128 permutations (a fresh v per
             # perm = 128 large allocations per group — first-touch murder
             # in this sandbox)
             v = _scratch("sig_v", cells, U64).reshape(idxs.size, Lmax)
-            for p in range(cfg.num_perm):
+            for p in range(self.cfg.num_perm):
                 np.multiply(P, self.a[p], out=v)
                 v += self.b[p]
                 sigs[idxs, p] = np.min(v, axis=1, where=valid, initial=MAXU)
             gi = gj
+        return sigs
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        cfg = self.cfg
+        batch = batch.replace_schema_metadata(None)
+        th_all, counts, sets = shingle_sets(batch[self.text_col],
+                                            cfg.shingle_k)
+        # full set → kmv / n_shingles; stop-filtered set → MinHash/banding
+        sigs = self._minhash([self._band_set(s) for s in sets])
         # band hashes: vectorized across the batch, one combine per band
-        bands = np.empty((n, cfg.lsh_bands), dtype=U64)
+        bands = np.empty((len(batch), cfg.lsh_bands), dtype=U64)
         r = cfg.lsh_rows
         for bnd in range(cfg.lsh_bands):
             bands[:, bnd] = combine_rows(sigs[:, bnd * r : (bnd + 1) * r],
                                          seed=bnd + 1)
-        out = batch.append_column("n_tokens", pa.array(n_tokens, type=pa.int32()))
-        out = out.append_column("n_shingles", pa.array(n_shingles, type=pa.int32()))
-        out = out.append_column("minhash", _u64_list_array(sigs))
-        out = out.append_column("band_hashes", _u64_list_array(bands))
-        out = out.append_column("simhash", pa.array(simhashes, type=pa.uint64()))
-        out = out.append_column("kmv", pa.array(kmvs, type=pa.binary()))
-        return out
+        return pa.Table.from_arrays(
+            batch.columns + [
+                pa.array(counts.astype(np.int32), pa.int32()),
+                pa.array(np.array([s.size for s in sets], np.int32)),
+                _u64_list_array(sigs),
+                _u64_list_array(bands),
+                pa.array(batch_simhash(th_all, counts), pa.uint64()),
+                pa.array([s[: cfg.kmv_k].tobytes() for s in sets],
+                         pa.binary())],
+            names=batch.column_names + ["n_tokens", "n_shingles", "minhash",
+                                        "band_hashes", "simhash", "kmv"])

@@ -113,3 +113,18 @@ def test_candidate_positions_pure_window():
     mutated[5000] ^= 0xFF
     c2 = candidate_positions(bytes(mutated))
     assert (c1[c1 < 4984] == c2[c2 < 4984]).all()
+
+
+def test_segmented_candidate_pass_equals_one_pass(monkeypatch):
+    """The candidate pass runs in fixed-size segments with 16 bytes of
+    context; the segment size changes nothing, including at the edges."""
+    from pcompress_ray.stages import cdc
+
+    data = _rand(50_000, 0, 4) + b"\x00" * 3000 + _rand(7_001)
+    whole = cdc._segment_candidates(np.frombuffer(data, np.uint8))
+    assert whole.size > 20
+    slow = np.asarray(cut_points_slow(data, MIN, MAX))
+    for seg in (17, 1000, 4096, len(data) - 1, len(data)):
+        monkeypatch.setattr(cdc, "_SEG", seg)
+        assert np.array_equal(candidate_positions(data), whole), seg
+        assert np.array_equal(cut_points(data, MIN, MAX), slow), seg
