@@ -230,19 +230,17 @@ def q_q3_top_orders(sf_dir: str):
         return pa.table({"orderkey": t["l_orderkey"].cast(pa.int64()),
                          "revenue": rev})
 
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
-    def agg_part(part: pd.DataFrame) -> pa.Table:
-        g = part.groupby("orderkey", as_index=False, sort=False).agg(
-            revenue=("revenue", "sum"), n_items=("revenue", "size"))
-        return pa.table({
-            "orderkey": pa.array(g["orderkey"].to_numpy(dtype=np.int64)),
-            "revenue": pc.round(
-                pa.array(g["revenue"].to_numpy(dtype=np.float64)), 4),
-            "n_items": pa.array(g["n_items"].to_numpy(dtype=np.int64))})
+    def agg_part(part: pa.Table) -> pa.Table:
+        g = part.group_by("orderkey", use_threads=False).aggregate(
+            [("revenue", "sum"), ([], "count_all")])
+        return pa.table({"orderkey": g["orderkey"],
+                         "revenue": pc.round(g["revenue_sum"], 4),
+                         "n_items": g["count_all"]})
 
-    agg = grouped_partitions(joined.map_batches(derive, batch_format="pyarrow"),
-                             ["orderkey"], agg_part, n_parts=32)
+    agg = exchange([joined.map_batches(derive, batch_format="pyarrow")],
+                   [["orderkey"]], agg_part, n_parts=32)
     return agg.sort(["revenue", "orderkey"],
                     descending=[True, False]).limit(10)
 
@@ -265,7 +263,8 @@ def q_top_orders_per_segment(sf_dir: str):
     """Top-3 orders by total price per market segment — top-k PER GROUP,
     computed as map-side partial top-k per batch, then one vectorized
     final top-k per hash partition (never a global sort)."""
-    from pcompress_ray.functions.ops import broadcast_join, grouped_partitions
+    from pcompress_ray.functions.ops import (broadcast_join, exchange,
+                                             run_ranks, run_starts)
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
@@ -277,22 +276,19 @@ def q_top_orders_per_segment(sf_dir: str):
                               ascending=[False, True]) \
             .groupby("c_mktsegment", sort=False).head(3)
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        if len(part) == 0:
-            return pd.DataFrame({"segment": pd.Series(dtype=object),
-                                 "o_orderkey": pd.Series(dtype=np.int64),
-                                 "total_e2": pd.Series(dtype=np.int64)})
-        top = part.sort_values(["o_totalprice", "o_orderkey"],
-                               ascending=[False, True]) \
-            .groupby("c_mktsegment", sort=False).head(3)
-        return pd.DataFrame({
-            "segment": top["c_mktsegment"].astype(str),
-            "o_orderkey": top["o_orderkey"].to_numpy(dtype=np.int64),
-            "total_e2": np.floor(top["o_totalprice"].to_numpy(np.float64)
+    def final(part: pa.Table) -> pa.Table:
+        part = part.sort_by([("c_mktsegment", "ascending"),
+                             ("o_totalprice", "descending"),
+                             ("o_orderkey", "ascending")])
+        top = part.filter(run_ranks(run_starts(part["c_mktsegment"])) < 3)
+        return pa.table({
+            "segment": top["c_mktsegment"].cast(pa.string()),
+            "o_orderkey": top["o_orderkey"].cast(pa.int64()),
+            "total_e2": np.floor(top["o_totalprice"].to_numpy()
                                  * 100 + 0.5).astype(np.int64)})
 
     parts = j.map_batches(partial, batch_format="pandas")
-    return grouped_partitions(parts, ["c_mktsegment"], final, n_parts=8)
+    return exchange([parts], [["c_mktsegment"]], final, n_parts=8)
 
 
 def q_customers_without_orders(sf_dir: str):
@@ -307,10 +303,11 @@ def q_customers_without_orders(sf_dir: str):
                           .filter(pc.greater(t["o_totalprice"], 300000.0))
                           .select(["o_custkey"]), batch_format="pyarrow")
              .to_pandas()["o_custkey"].unique())
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    out = semi_join_filter(cust, okeys, on="c_custkey", negate=True)
-
-    return _typed(out, {"c_custkey": pa.int64(), "c_name": pa.string()})
+    cust = _typed(_read(sf_dir, "customer", ["c_custkey", "c_name"]),
+                  {"c_custkey": pa.int64(), "c_name": pa.string()})
+    # the filter is the last map: a map after it would turn each block it
+    # empties into a zero-column block
+    return semi_join_filter(cust, okeys, on="c_custkey", negate=True)
 
 
 def q_key_skew(sf_dir: str):
@@ -333,7 +330,7 @@ def q_key_skew(sf_dir: str):
 def q_hourly_active_users(sf_dir: str):
     """Distinct users per hour: per-batch (hour, user) dedup (map-side
     combine), then vectorized distinct-count per hash partition."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -348,17 +345,13 @@ def q_hourly_active_users(sf_dir: str):
         return pa.table({"hour_id": pa.array(comp >> np.int64(32)),
                          "comp": pa.array(comp)})
 
-    def count(part: pd.DataFrame) -> pd.DataFrame:
-        if len(part) == 0:
-            return pd.DataFrame({"hour_id": pd.Series(dtype=np.int64),
-                                 "n_users": pd.Series(dtype=np.int64)})
-        comp = np.unique(part["comp"].to_numpy(dtype=np.int64))
-        hours = comp >> np.int64(32)
-        uh, cnt = np.unique(hours, return_counts=True)
-        return pd.DataFrame({"hour_id": uh, "n_users": cnt.astype(np.int64)})
+    def count(part: pa.Table) -> pa.Table:
+        comp = np.unique(part["comp"].to_numpy())
+        uh, cnt = np.unique(comp >> np.int64(32), return_counts=True)
+        return pa.table({"hour_id": uh, "n_users": cnt.astype(np.int64)})
 
     parts = ds.map_batches(derive, batch_format="pyarrow")
-    return grouped_partitions(parts, ["hour_id"], count, n_parts=16)
+    return exchange([parts], [["hour_id"]], count, n_parts=16)
 
 
 def q_doc_stats(sf_dir: str):
@@ -409,15 +402,14 @@ def _canon_min_id(key_col: str):
     """Partition reducer assigning canonical_doc_id = min doc_id per
     ``key_col`` group — vectorized min-per-group over the whole hash
     partition (shared by the exact and normalized dedup tiers)."""
-    from pcompress_ray.functions.ops import group_boundaries
+    from pcompress_ray.functions.ops import run_starts
 
-    def canon(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values([key_col, "doc_id"])
-        key = part[key_col].to_numpy()
-        ids = part["doc_id"].to_numpy(dtype=np.int64)
-        first, gid, _ = group_boundaries(key)
-        return pd.DataFrame({"doc_id": ids, key_col: key,
-                             "canonical_doc_id": ids[first][gid]})
+    def canon(part: pa.Table) -> pa.Table:
+        part = part.sort_by([(key_col, "ascending"), ("doc_id", "ascending")])
+        ids = part["doc_id"].to_numpy()
+        first = run_starts(part[key_col])
+        return pa.table({"doc_id": ids, key_col: part[key_col],
+                         "canonical_doc_id": ids[first][np.cumsum(first) - 1]})
 
     return canon
 
@@ -438,11 +430,11 @@ def _text_md5(ds, carry: dict):
 
 def q_exact_dup_docs(sf_dir: str):
     """Doc-level exact-dup canonical assignment via md5 (A1/J1 keep-first)."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return grouped_partitions(_text_md5(ds, {"doc_id": pa.int64()}),
-                              ["text_md5"], _canon_min_id("text_md5"))
+    return exchange([_text_md5(ds, {"doc_id": pa.int64()})],
+                    [["text_md5"]], _canon_min_id("text_md5"))
 
 
 def _norm_md5_docs(sf_dir: str):
@@ -474,10 +466,10 @@ def q_norm_text_dedup(sf_dir: str):
     regexp_replace, also RE2) is byte-identical; reference analog is the
     identity-chunk dedup after the preproc normalize pass
     (pcompress.c:239-276 filters before rabin_dedup.c identity match)."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
-    return grouped_partitions(_norm_md5_docs(sf_dir), ["norm_md5"],
-                              _canon_min_id("norm_md5"))
+    return exchange([_norm_md5_docs(sf_dir)], [["norm_md5"]],
+                    _canon_min_id("norm_md5"))
 
 
 def q_soft_dedup_weights(sf_dir: str):
@@ -706,7 +698,7 @@ def q_events_hourly(sf_dir: str):
     One (user, hour)-keyed exchange; the per-partition reduce is a single
     lexsort+reduceat (Ray's per-key aggregate costs ~100us of Python per
     group — ruinous at 10k groups)."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
@@ -717,29 +709,23 @@ def q_events_hourly(sf_dir: str):
                          "hour_id": pa.array(hour_id.astype(np.int64)),
                          "value": t["value"].cast(pa.float64())})
 
-    def agg(part: pd.DataFrame) -> pd.DataFrame:
-        if not len(part):
-            return pd.DataFrame({"user_id": pd.Series(dtype=np.int64),
-                                 "hour_id": pd.Series(dtype=np.int64),
-                                 "n_events": pd.Series(dtype=np.int64),
-                                 "sum_value": pd.Series(dtype=np.float64)})
-        u = part["user_id"].to_numpy(np.int64)
-        h = part["hour_id"].to_numpy(np.int64)
-        v = part["value"].to_numpy(np.float64)
+    def agg(part: pa.Table) -> pa.Table:
+        u = part["user_id"].to_numpy()
+        h = part["hour_id"].to_numpy()
+        v = part["value"].to_numpy()
         order = np.lexsort((h, u))
         u, h, v = u[order], h[order], v[order]
-        first = np.empty(len(u), bool)
-        first[0] = True
+        first = np.ones(len(u), bool)
         first[1:] = (u[1:] != u[:-1]) | (h[1:] != h[:-1])
         starts = np.flatnonzero(first)
         n = np.diff(np.append(starts, len(u)))
         s = np.add.reduceat(v, starts)
-        return pd.DataFrame({
+        return pa.table({
             "user_id": u[starts], "hour_id": h[starts],
             "n_events": n.astype(np.int64), "sum_value": s})
 
-    out = grouped_partitions(ds.map_batches(derive, batch_format="pyarrow"),
-                             ["user_id", "hour_id"], agg, n_parts=32)
+    out = exchange([ds.map_batches(derive, batch_format="pyarrow")],
+                   [["user_id", "hour_id"]], agg, n_parts=32)
 
     return _typed(out, {"user_id": pa.int64(), "hour_id": pa.int64(),
                         "n_events": pa.int64(), "sum_value": pa.float64()},
@@ -751,28 +737,22 @@ def q_event_gaps(sf_dir: str):
     previous event (first event per user omitted). Hash-partitioned by
     user_id, ONE vectorized diff per partition — the general lag/lead
     primitive a streaming pipeline needs for inter-arrival features."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
 
-    def gaps_part(part: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"user_id": pd.Series(dtype=np.int64),
-                              "event_id": pd.Series(dtype=np.int64),
-                              "gap_us": pd.Series(dtype=np.int64)})
-        if len(part) == 0:
-            return empty
-        part = part.sort_values(["user_id", "ts", "event_id"])
-        uid = part["user_id"].to_numpy(dtype=np.int64)
-        eid = part["event_id"].to_numpy(dtype=np.int64)
-        us = part["ts"].astype("int64").to_numpy()
+    def gaps_part(part: pa.Table) -> pa.Table:
+        part = part.sort_by([(c, "ascending")
+                             for c in ("user_id", "ts", "event_id")])
+        uid = part["user_id"].to_numpy()
+        eid = part["event_id"].to_numpy()
+        us = part["ts"].cast(pa.int64()).to_numpy()
         same_user = uid[1:] == uid[:-1]
-        gaps = (us[1:] - us[:-1])[same_user]
-        return pd.DataFrame({"user_id": uid[1:][same_user],
-                             "event_id": eid[1:][same_user],
-                             "gap_us": gaps.astype(np.int64)}) \
-            if same_user.any() else empty
+        return pa.table({"user_id": uid[1:][same_user],
+                         "event_id": eid[1:][same_user],
+                         "gap_us": (us[1:] - us[:-1])[same_user]})
 
-    res = grouped_partitions(ds, ["user_id"], gaps_part)
+    res = exchange([ds], [["user_id"]], gaps_part)
 
     return _typed(res, {"user_id": pa.int64(), "event_id": pa.int64(),
                         "gap_us": pa.int64()})
@@ -785,16 +765,16 @@ def q_user_running_value(sf_dir: str):
     cumsum per partition. Values are scaled to integers BEFORE summing
     (floor(v*1e6+0.5) on both sides) so the running sum is exact — a
     float cumsum would round differently from DuckDB's windowed sum."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
 
-    def run_part(part: pd.DataFrame) -> pa.Table:
-        part = part.sort_values(["user_id", "ts", "event_id"])
-        uid = part["user_id"].to_numpy(dtype=np.int64)
-        eid = part["event_id"].to_numpy(dtype=np.int64)
-        v = np.floor(part["value"].to_numpy(dtype=np.float64) * 1e6 + 0.5) \
-            .astype(np.int64)
+    def run_part(part: pa.Table) -> pa.Table:
+        part = part.sort_by([(c, "ascending")
+                             for c in ("user_id", "ts", "event_id")])
+        uid = part["user_id"].to_numpy()
+        eid = part["event_id"].to_numpy()
+        v = np.floor(part["value"].to_numpy() * 1e6 + 0.5).astype(np.int64)
         cs = np.cumsum(v)
         # segmented cumsum: subtract the running total just before each
         # user's first row
@@ -806,57 +786,53 @@ def q_user_running_value(sf_dir: str):
         return pa.table({"user_id": pa.array(uid), "event_id": pa.array(eid),
                          "run_value_e6": pa.array(run.astype(np.int64))})
 
-    return grouped_partitions(ds, ["user_id"], run_part)
+    return exchange([ds], [["user_id"]], run_part)
 
 
 def q_user_first_last(sf_dir: str):
     """arg-min/arg-max window shape: each user's first and last event_type
     by (ts, event_id) plus event count — one vectorized boundary pick per
     hash partition."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
 
-    def fl_part(part: pd.DataFrame) -> pa.Table:
-        part = part.sort_values(["user_id", "ts", "event_id"])
-        uid = part["user_id"].to_numpy(dtype=np.int64)
-        et = part["event_type"].to_numpy()
+    def fl_part(part: pa.Table) -> pa.Table:
+        part = part.sort_by([(c, "ascending")
+                             for c in ("user_id", "ts", "event_id")])
+        uid = part["user_id"].to_numpy()
         first = np.ones(uid.size, dtype=bool)
         first[1:] = uid[1:] != uid[:-1]
         starts = np.flatnonzero(first)
         ends = np.append(starts[1:], uid.size) - 1
+        et = part["event_type"].cast(pa.string())
         return pa.table({
-            "user_id": pa.array(uid[starts]),
-            "first_type": pa.array(et[starts].astype(str), pa.string()),
-            "last_type": pa.array(et[ends].astype(str), pa.string()),
-            "n_events": pa.array((ends - starts + 1).astype(np.int64)),
+            "user_id": uid[starts],
+            "first_type": et.take(starts),
+            "last_type": et.take(ends),
+            "n_events": (ends - starts + 1).astype(np.int64),
         })
 
-    return grouped_partitions(ds, ["user_id"], fl_part)
+    return exchange([ds], [["user_id"]], fl_part)
 
 
 def q_sessionize(sf_dir: str):
     """Gap-based sessionization per user (1800s gap). Hash-partitioned by
     user_id; ONE vectorized scan per partition (sort by user,ts; numpy
     segment boundaries) — not one Python call per user."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
 
-    def sess_part(part: pd.DataFrame) -> pd.DataFrame:
-        if len(part) == 0:
-            return pd.DataFrame({"user_id": pd.Series(dtype=np.int64),
-                                 "session_id": pd.Series(dtype=np.int64),
-                                 "n_events": pd.Series(dtype=np.int64)})
-        part = part.sort_values(["user_id", "ts", "event_id"])
-        uid = part["user_id"].to_numpy(dtype=np.int64)
-        us = part["ts"].astype("int64").to_numpy()
+    def sess_part(part: pa.Table) -> pa.Table:
+        part = part.sort_by([(c, "ascending")
+                             for c in ("user_id", "ts", "event_id")])
+        uid = part["user_id"].to_numpy()
+        us = part["ts"].cast(pa.int64()).to_numpy()
         n = len(part)
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
+        new_user = np.ones(n, dtype=bool)
         np.not_equal(uid[1:], uid[:-1], out=new_user[1:])
-        gap_break = np.empty(n, dtype=bool)
-        gap_break[0] = False
+        gap_break = np.zeros(n, dtype=bool)
         gap_break[1:] = (us[1:] - us[:-1]) > 1_800_000_000
         new_sess = new_user | gap_break
         # session_id restarts at 0 per user
@@ -865,11 +841,11 @@ def q_sessionize(sf_dir: str):
         sid = gsid - gsid[new_user][uidx]
         starts = np.flatnonzero(new_sess)
         sizes = np.diff(np.append(starts, n))
-        return pd.DataFrame({"user_id": uid[starts],
-                             "session_id": sid[starts],
-                             "n_events": sizes.astype(np.int64)})
+        return pa.table({"user_id": uid[starts],
+                         "session_id": sid[starts],
+                         "n_events": sizes.astype(np.int64)})
 
-    res = grouped_partitions(ds, ["user_id"], sess_part)
+    res = exchange([ds], [["user_id"]], sess_part)
 
     return _typed(res, {"user_id": pa.int64(), "session_id": pa.int64(),
                         "n_events": pa.int64()})
@@ -882,35 +858,27 @@ def q_events_sliding(sf_dir: str):
     left edge; no per-user Python). Value sums are integer micro-units
     (floor(v*1e6+0.5) per EVENT) so window sums are exact integers on both
     engines — float window sums would differ in summation order."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
-    def slide(part: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"user_id": pd.Series(dtype=np.int64),
-                              "hour_id": pd.Series(dtype=np.int64),
-                              "n_events_3h": pd.Series(dtype=np.int64),
-                              "sum_value_e6_3h": pd.Series(dtype=np.int64)})
-        if len(part) == 0:
-            return empty
-        uid = part["user_id"].to_numpy(dtype=np.int64)
-        hour = part["ts"].astype("int64").to_numpy() // 3_600_000_000
-        ve6 = np.floor(part["value"].to_numpy(dtype=np.float64) * 1e6
-                       + 0.5).astype(np.int64)
+    def slide(part: pa.Table) -> pa.Table:
+        uid = part["user_id"].to_numpy()
+        hour = part["ts"].cast(pa.int64()).to_numpy() // 3_600_000_000
+        ve6 = np.floor(part["value"].to_numpy() * 1e6 + 0.5).astype(np.int64)
         order = np.lexsort((hour, uid))
         uid, hour, ve6 = uid[order], hour[order], ve6[order]
         n = uid.size
-        first = np.empty(n, dtype=bool)
-        first[0] = True
+        first = np.ones(n, dtype=bool)
         first[1:] = (uid[1:] != uid[:-1]) | (hour[1:] != hour[:-1])
         gid = np.cumsum(first) - 1
         cnt = np.bincount(gid)
         sv = np.bincount(gid, weights=ve6.astype(np.float64)).astype(np.int64)
         gu, gh = uid[first], hour[first]
-        if gu.max() >= 1 << 31 or gu.min() < 0:
+        if n and (gu.max() >= 1 << 31 or gu.min() < 0):
             raise ValueError("events_sliding packs (user_id, hour) into one "
                              "int64; user_id must fit in 31 bits")
-        if gh.max() >= 1 << 31 or gh.min() < 0:
+        if n and (gh.max() >= 1 << 31 or gh.min() < 0):
             raise ValueError("events_sliding packs (user_id, hour) into one "
                              "int64; epoch-hour must fit in 31 bits")
         comp = (gu << np.int64(32)) | gh
@@ -920,13 +888,13 @@ def q_events_sliding(sf_dir: str):
         csn = np.concatenate([[0], np.cumsum(cnt)])
         csv = np.concatenate([[0], np.cumsum(sv)])
         idx = np.arange(gu.size)
-        return pd.DataFrame({
+        return pa.table({
             "user_id": gu,
             "hour_id": gh,
             "n_events_3h": (csn[idx + 1] - csn[left]).astype(np.int64),
             "sum_value_e6_3h": (csv[idx + 1] - csv[left]).astype(np.int64)})
 
-    return grouped_partitions(ds, ["user_id"], slide)
+    return exchange([ds], [["user_id"]], slide)
 
 
 def q_ann_topk(sf_dir: str):
@@ -993,24 +961,22 @@ def q_dup_gain_by_source(sf_dir: str):
     gain accounting): per source, how many docs/chars an exact keep-first
     dedup removes. Composes T1 exact-dup canonical assignment with A4
     aggregates; all-integer output so the oracle hash is dtype-stable."""
-    from pcompress_ray.functions.ops import (exchange, group_boundaries,
-                                             grouped_partitions)
+    from pcompress_ray.functions.ops import exchange, run_starts
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source", "n_chars"])
 
-    def mark_dups(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(["text_md5", "doc_id"])
-        ids = part["doc_id"].to_numpy(dtype=np.int64)
-        first, gid, _ = group_boundaries(part["text_md5"].to_numpy())
-        dup = (ids != ids[first][gid]).astype(np.int64)
-        nch = part["n_chars"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"source": part["source"].to_numpy(),
-                             "is_dup": dup, "n_chars": nch,
-                             "dup_chars": nch * dup})
+    def mark_dups(part: pa.Table) -> pa.Table:
+        part = part.sort_by([("text_md5", "ascending"), ("doc_id", "ascending")])
+        ids = part["doc_id"].to_numpy()
+        first = run_starts(part["text_md5"])
+        dup = (ids != ids[first][np.cumsum(first) - 1]).astype(np.int64)
+        nch = part["n_chars"].to_numpy()
+        return pa.table({"source": part["source"], "is_dup": dup,
+                         "n_chars": nch, "dup_chars": nch * dup})
 
     hashed = _text_md5(ds, {"doc_id": pa.int64(), "source": pa.string(),
                             "n_chars": pa.int64()})
-    marked = grouped_partitions(hashed, ["text_md5"], mark_dups)
+    marked = exchange([hashed], [["text_md5"]], mark_dups)
     agg = exchange([marked], [["source"]], lambda t: t.group_by(
         "source", use_threads=False).aggregate(
         [([], "count_all"), ("n_chars", "sum"), ("is_dup", "sum"),
@@ -1073,20 +1039,18 @@ def q_archive_roundtrip(sf_dir: str):
     import pyarrow.compute as pc
 
     from pcompress_ray.config import PipelineConfig
+    from pcompress_ray.functions.ops import block_rounds
     from pcompress_ray.pipelines.archive import archive_restore
 
     res = _archive_result(sf_dir)
     restored = archive_restore(res.store, res.manifest, PipelineConfig())
-
-    def partial(t: pa.Table) -> pa.Table:
-        ok = int(pc.sum(t["sha_ok"].cast(pa.int64())).as_py() or 0)
-        return pa.table({"n_docs": pa.array([len(t)], pa.int64()),
-                         "n_sha_ok": pa.array([ok], pa.int64())})
-
-    s = restored.map_batches(partial, batch_format="pyarrow").to_pandas().sum()
+    # per-block partials summed here: block_rounds skips the empty blocks
+    # that a map_batches would turn into zero-column ones
+    n_docs, n_ok = map(sum, zip(*block_rounds(restored, lambda t: (
+        len(t), pc.sum(t["sha_ok"].cast(pa.int64())).as_py() or 0))))
     return pd.DataFrame({
-        "n_docs": [int(s["n_docs"])],
-        "n_sha_ok": [int(s["n_sha_ok"])],
+        "n_docs": [int(n_docs)],
+        "n_sha_ok": [int(n_ok)],
         "n_unique_chunks": [int(res.metrics["n_unique_chunks"])],
         "dedup_gain_bytes": [int(res.metrics["dedup_gain_bytes"])],
     })
@@ -1467,7 +1431,7 @@ def q_lang_token_diversity(sf_dir: str):
     tiny per-lang sum; token occurrences never leave the map side."""
     import re
 
-    from pcompress_ray.functions.ops import exchange, grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
     tok = re.compile(r"[a-z0-9]+")
@@ -1484,20 +1448,14 @@ def q_lang_token_diversity(sf_dir: str):
         return p.groupby(["lang", "token"], as_index=False).size() \
             .rename(columns={"size": "n"})
 
-    def count_part(part: pd.DataFrame) -> pd.DataFrame:
-        if len(part) == 0:
-            return pd.DataFrame({"lang": pd.Series(dtype=object),
-                                 "n_distinct": pd.Series(dtype=np.int64),
-                                 "n_occ": pd.Series(dtype=np.int64)})
+    def count_part(part: pa.Table) -> pa.Table:
         # every (lang, token) pair lands in exactly one partition
-        g = part.groupby("lang", as_index=False).agg(
-            n_distinct=("token", "nunique"), n_occ=("n", "sum"))
-        g["n_distinct"] = g["n_distinct"].astype(np.int64)
-        g["n_occ"] = g["n_occ"].astype(np.int64)
-        return g
+        return part.group_by("lang", use_threads=False).aggregate(
+            [("token", "count_distinct"), ("n", "sum")]) \
+            .rename_columns(["lang", "n_distinct", "n_occ"])
 
-    parts = grouped_partitions(ds.map_batches(pairs, batch_format="pandas"),
-                               ["lang", "token"], count_part, n_parts=32)
+    parts = exchange([ds.map_batches(pairs, batch_format="pandas")],
+                     [["lang", "token"]], count_part, n_parts=32)
     out = exchange([parts], [["lang"]], lambda t: t.group_by(
         "lang", use_threads=False).aggregate(
         [("n_distinct", "sum"), ("n_occ", "sum")]))
@@ -1513,22 +1471,17 @@ def q_lang_length_quantiles(sf_dir: str):
     Emitted as e6-scaled ints; the SQL twin interpolates with the same
     IEEE ops. Exact quantiles need the group co-located — at 100-TB group
     sizes swap in a t-digest/KLL sketch merge instead."""
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    from pcompress_ray.functions.ops import exchange, run_starts
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
 
-    def quant(part: pd.DataFrame) -> pd.DataFrame:
-        if len(part) == 0:
-            return pd.DataFrame({"lang": pd.Series(dtype=object),
-                                 "n_docs": pd.Series(dtype=np.int64),
-                                 "p50_e6": pd.Series(dtype=np.int64),
-                                 "p90_e6": pd.Series(dtype=np.int64)})
-        part = part.sort_values(["lang", "n_chars"])
-        langs = part["lang"].to_numpy()
-        x = part["n_chars"].to_numpy(dtype=np.float64)
-        first, gid, sizes = group_boundaries(langs)
-        starts = np.flatnonzero(first)
-        out = {"lang": langs[starts], "n_docs": sizes.astype(np.int64)}
+    def quant(part: pa.Table) -> pa.Table:
+        part = part.sort_by([("lang", "ascending"), ("n_chars", "ascending")])
+        x = part["n_chars"].to_numpy().astype(np.float64)
+        starts = np.flatnonzero(run_starts(part["lang"]))
+        sizes = np.diff(np.append(starts, x.size))
+        out = {"lang": part["lang"].take(starts),
+               "n_docs": sizes.astype(np.int64)}
         for q, col in ((0.5, "p50_e6"), (0.9, "p90_e6")):
             h = (sizes - 1) * q
             f = np.floor(h)
@@ -1536,9 +1489,9 @@ def q_lang_length_quantiles(sf_dir: str):
             hi = x[starts + np.minimum(f.astype(np.int64) + 1, sizes - 1)]
             v = lo + (hi - lo) * (h - f)
             out[col] = np.floor(v * 1e6 + 0.5).astype(np.int64)
-        return pd.DataFrame(out)
+        return pa.table(out)
 
-    res = grouped_partitions(ds, ["lang"], quant, n_parts=8)
+    res = exchange([ds], [["lang"]], quant, n_parts=8)
 
     return _typed(res, {"lang": pa.string(), "n_docs": pa.int64(),
                         "p50_e6": pa.int64(), "p90_e6": pa.int64()})
@@ -1718,33 +1671,33 @@ def q_tfidf_top_term(sf_dir: str):
     vectorized per-doc argmax. idf is quantized to e6 ints BEFORE the
     multiply so tfidf_e6 = c * idf_e6 is exact integer math on both sides
     (a float tf*idf product would hash-diverge on ln() ULPs)."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange, run_starts
     from pcompress_ray.stages.textstats import doc_token_counts
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()  # parquet metadata only
     tokc = ds.map_batches(doc_token_counts, batch_format="pyarrow")
 
-    def attach_idf(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.groupby("tok")["doc_id"].transform("size").to_numpy(np.float64)
+    def attach_idf(g: pa.Table) -> pa.Table:
+        g = g.sort_by("tok")
+        sizes = np.diff(np.append(np.flatnonzero(run_starts(g["tok"])),
+                                  len(g)))
+        d = np.repeat(sizes, sizes).astype(np.float64)
         idf_e6 = np.floor(np.log(n_docs / d) * 1e6 + 0.5).astype(np.int64)
-        return pd.DataFrame({
-            "doc_id": g["doc_id"].to_numpy(np.int64),
-            "tok": g["tok"].astype(str),
-            "tfidf_e6": g["c"].to_numpy(np.int64) * idf_e6})
+        return pa.table({
+            "doc_id": g["doc_id"].cast(pa.int64()),
+            "tok": g["tok"].cast(pa.string()),
+            "tfidf_e6": g["c"].to_numpy().astype(np.int64) * idf_e6})
 
-    scored = grouped_partitions(tokc, ["tok"], attach_idf, n_parts=32)
+    scored = exchange([tokc], [["tok"]], attach_idf, n_parts=32)
 
-    def top1(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["doc_id", "tfidf_e6", "tok"],
-                          ascending=[True, False, True], kind="stable")
-        out = g.loc[~g["doc_id"].duplicated()]
-        return pd.DataFrame({
-            "doc_id": out["doc_id"].to_numpy(np.int64),
-            "top_term": out["tok"].astype(str),
-            "tfidf_e6": out["tfidf_e6"].to_numpy(np.int64)})
+    def top1(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("doc_id", "ascending"), ("tfidf_e6", "descending"),
+                       ("tok", "ascending")])
+        return g.filter(run_starts(g["doc_id"])) \
+            .rename_columns(["doc_id", "top_term", "tfidf_e6"])
 
-    res = grouped_partitions(scored, ["doc_id"], top1, n_parts=16)
+    res = exchange([scored], [["doc_id"]], top1, n_parts=16)
 
     return _typed(res, {"doc_id": pa.int64(), "top_term": pa.string(),
                         "tfidf_e6": pa.int64()}).sort("doc_id")
@@ -1757,22 +1710,22 @@ def q_lm_quality(sf_dir: str):
     vocabulary, not corpus); the fitted table is pulled to the driver
     (bounded by VOCAB size) and broadcast via ray.put — the classic
     broadcast-model pattern; at web scale (vocab ≫ memory) swap the
-    broadcast for a token-keyed grouped_partitions join, same as
+    broadcast for a token-keyed ``exchange`` join, same as
     tfidf_top_term. (2) score every doc in one streaming map_batches
     (searchsorted + reduceat per batch). Logprobs are quantized to e6 ints
     before aggregation so the SQL twin hashes identically."""
     import ray
 
-    from pcompress_ray.functions.ops import exchange
+    from pcompress_ray.functions.ops import block_rounds, exchange
     from pcompress_ray.stages.textstats import (lm_score_batch,
                                                 unigram_vocab_counts)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    vocab = exchange(
+    vocab = pa.concat_tables(block_rounds(exchange(
         [ds.map_batches(unigram_vocab_counts, batch_format="pyarrow")],
         [["tok"]], lambda t: t.group_by("tok", use_threads=False).aggregate(
-            [("n", "sum")])).to_pandas()  # bounded by vocabulary size
-    n = vocab["n_sum"].to_numpy(np.float64)
+            [("n", "sum")])), lambda t: t))  # bounded by vocabulary size
+    n = vocab["n_sum"].to_numpy().astype(np.float64)
     order = np.argsort(vocab["tok"].to_numpy())
     toks = vocab["tok"].to_numpy()[order]
     lp_e6 = np.floor(-np.log(n[order] / n.sum()) * 1e6 + 0.5) \
@@ -1808,7 +1761,7 @@ def q_decontaminate(sf_dir: str):
     builds its n-grams vectorized (one join over 13 shifted views) and
     membership-tests against the broadcast set. One streaming pass, no
     shuffle. At web scale with a HUGE benchmark, swap the broadcast for a
-    gram-keyed grouped_partitions semi-join."""
+    gram-keyed ``exchange`` semi-join."""
     import ray
 
     from pcompress_ray.stages.textstats import (_split_tokens,
@@ -2029,14 +1982,20 @@ def q_snapshot_diff(sf_dir: str):
                          "text": pa.array(out_txt.tolist(), pa.string())})
 
     def diff(a: pa.Table, b: pa.Table) -> pa.Table:
-        m = a.to_pandas().merge(b.to_pandas(), on="doc_id", how="outer",
-                                suffixes=("_a", "_b"), indicator=True)
+        def flagged(t: pa.Table, side: str) -> pa.Table:
+            return t.append_column(side, pa.array(np.ones(len(t), bool)))
+
+        m = flagged(a, "in_a").join(flagged(b, "in_b"), "doc_id",
+                                    join_type="full outer",
+                                    left_suffix="_a", right_suffix="_b")
         status = np.select(
-            [m["_merge"] == "left_only", m["_merge"] == "right_only",
-             m["text_a"] == m["text_b"]],
+            [m["in_b"].is_null().to_numpy(zero_copy_only=False),
+             m["in_a"].is_null().to_numpy(zero_copy_only=False),
+             pc.equal(m["text_a"], m["text_b"]).fill_null(False)
+             .to_numpy(zero_copy_only=False)],
             ["deleted", "added", "unchanged"], "changed")
-        return pa.table({"doc_id": pa.array(m["doc_id"].to_numpy(np.int64)),
-                         "status": pa.array(status.astype(str), pa.string())})
+        return pa.table({"doc_id": m["doc_id"],
+                         "status": pa.array(status, pa.string())})
 
     return exchange([ds.map_batches(snap_a, batch_format="pyarrow"),
                      ds.map_batches(snap_b, batch_format="pyarrow")],
@@ -2053,7 +2012,7 @@ def q_length_hist_quantiles(sf_dir: str):
     integer-exact, so the DuckDB twin reproduces the SKETCH itself, not
     just a tolerance band. Exchange volume: <= #blocks x #langs x 2048
     pre-aggregated rows — no corpus shuffle at any scale."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange, run_starts
 
     W, B = 16, 2048
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
@@ -2068,31 +2027,27 @@ def q_length_hist_quantiles(sf_dir: str):
                          "b": pa.array(g["b"].to_numpy(np.int64)),
                          "c": pa.array(g["c"].to_numpy(np.int64))})
 
-    def extract(part: pd.DataFrame) -> pa.Table:
-        rows = {"lang": [], "n_docs": [], "p50_approx": [], "p90_approx": []}
-        if len(part):
-            g = (part.groupby(["lang", "b"])["c"].sum().reset_index()
-                 .sort_values(["lang", "b"]))
-            for lang, sub in g.groupby("lang", sort=True):
-                cc = sub["c"].to_numpy(np.int64).cumsum()
-                n = int(cc[-1])
-                bs = sub["b"].to_numpy(np.int64)
-                rows["lang"].append(lang)
-                rows["n_docs"].append(n)
-                rows["p50_approx"].append(
-                    int(bs[np.searchsorted(cc, (n + 1) // 2)]) * W)
-                rows["p90_approx"].append(
-                    int(bs[np.searchsorted(cc, (9 * n + 9) // 10)]) * W)
-        # explicit Arrow schema (empty groups must not degrade to null type)
-        return pa.table({"lang": pa.array(rows["lang"], pa.string()),
-                         "n_docs": pa.array(rows["n_docs"], pa.int64()),
-                         "p50_approx": pa.array(rows["p50_approx"],
-                                                pa.int64()),
-                         "p90_approx": pa.array(rows["p90_approx"],
-                                                pa.int64())})
+    def extract(part: pa.Table) -> pa.Table:
+        g = part.group_by(["lang", "b"], use_threads=False) \
+            .aggregate([("c", "sum")]) \
+            .sort_by([("lang", "ascending"), ("b", "ascending")])
+        bs, c = g["b"].to_numpy(), g["c_sum"].to_numpy()
+        starts = np.flatnonzero(run_starts(g["lang"]))
+        rows = {"n_docs": [], "p50_approx": [], "p90_approx": []}
+        for s, e in zip(starts, np.append(starts[1:], len(g))):
+            cc = c[s:e].cumsum()
+            n = int(cc[-1])
+            rows["n_docs"].append(n)
+            rows["p50_approx"].append(
+                int(bs[s:e][np.searchsorted(cc, (n + 1) // 2)]) * W)
+            rows["p90_approx"].append(
+                int(bs[s:e][np.searchsorted(cc, (9 * n + 9) // 10)]) * W)
+        return pa.table({"lang": g["lang"].take(starts),
+                         **{k: pa.array(v, pa.int64())
+                            for k, v in rows.items()}})
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
-    return grouped_partitions(parts, ["lang"], extract, n_parts=16)
+    return exchange([parts], [["lang"]], extract, n_parts=16)
 
 
 def q_fuzzy_decontaminate(sf_dir: str):
@@ -2159,35 +2114,29 @@ def q_segment_dedup(sf_dir: str):
     (collision-free in practice, ~2x lighter payload) — the string key is
     kept here for oracle-exactness. Two bounded exchanges: segment-keyed
     dup marking (partials emitted per partition), then a doc-keyed sum
-    (vectorized grouped_partitions, not Ray's per-key aggregate)."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    (vectorized ``exchange`` reducers, not Ray's per-key aggregate)."""
+    from pcompress_ray.functions.ops import exchange, run_starts
     from pcompress_ray.stages.textstats import doc_segments
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     segs = ds.map_batches(doc_segments, batch_format="pyarrow")
 
-    def mark(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["seg", "doc_id", "seg_no"], kind="stable")
-        segv = g["seg"].to_numpy()
-        firsts = np.empty(len(g), bool)
-        if len(g):
-            firsts[0] = True
-            firsts[1:] = segv[1:] != segv[:-1]
-        part = pd.DataFrame({"doc_id": g["doc_id"].to_numpy(np.int64),
-                             "dup": (~firsts).astype(np.int64)})
-        agg = part.groupby("doc_id", sort=False)["dup"] \
-            .agg(n_segs="size", n_dup_segs="sum").reset_index()
-        return agg.astype({"doc_id": np.int64, "n_segs": np.int64,
-                           "n_dup_segs": np.int64})
+    def mark(g: pa.Table) -> pa.Table:
+        g = g.sort_by([(c, "ascending") for c in ("seg", "doc_id", "seg_no")])
+        dup = (~run_starts(g["seg"])).astype(np.int64)
+        return pa.table({"doc_id": g["doc_id"].cast(pa.int64()), "dup": dup}) \
+            .group_by("doc_id", use_threads=False) \
+            .aggregate([([], "count_all"), ("dup", "sum")]) \
+            .rename_columns(["doc_id", "n_segs", "n_dup_segs"])
 
-    partial = grouped_partitions(segs, ["seg"], mark, n_parts=32)
+    partial = exchange([segs], [["seg"]], mark, n_parts=32)
 
-    def sum_doc(part: pd.DataFrame) -> pd.DataFrame:
-        agg = part.groupby("doc_id", sort=False, as_index=False).sum()
-        return agg.astype({"doc_id": np.int64, "n_segs": np.int64,
-                           "n_dup_segs": np.int64})
+    def sum_doc(part: pa.Table) -> pa.Table:
+        return part.group_by("doc_id", use_threads=False) \
+            .aggregate([("n_segs", "sum"), ("n_dup_segs", "sum")]) \
+            .rename_columns(["doc_id", "n_segs", "n_dup_segs"])
 
-    out = grouped_partitions(partial, ["doc_id"], sum_doc, n_parts=32)
+    out = exchange([partial], [["doc_id"]], sum_doc, n_parts=32)
 
     return _typed(out, {"doc_id": pa.int64(), "n_segs": pa.int64(),
                         "n_dup_segs": pa.int64()}).sort("doc_id")
@@ -2263,9 +2212,11 @@ def q_pack_sequences(sf_dir: str, seq_len: int = 256, n_parts: int = 16):
 
     parted = tpd.map_batches(add_rp, batch_format="pyarrow").materialize()
     totals = exchange([parted], [["rp"]], lambda t: t.group_by(
-        "rp", use_threads=False).aggregate([("n_tokens", "sum")])).to_pandas()
+        "rp", use_threads=False).aggregate([("n_tokens", "sum")]))
     tot = np.zeros(n_parts, np.int64)
-    tot[totals["rp"].to_numpy(np.int64)] = totals["n_tokens_sum"]
+    for rp, s in block_rounds(totals, lambda t: (
+            t["rp"].to_numpy(), t["n_tokens_sum"].to_numpy())):
+        tot[rp] = s
     offsets = np.cumsum(tot) - tot
 
     def scan(t: pa.Table) -> pa.Table:
@@ -2296,17 +2247,17 @@ def q_lang_temperature_sample(sf_dir: str):
     by #languages), then one streaming keep-filter pass."""
     import hashlib
 
-    from pcompress_ray.functions.ops import exchange
+    from pcompress_ray.functions.ops import block_rounds, exchange
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-    counts = exchange([ds.select_columns(["lang"])], [["lang"]],
-                      lambda t: t.group_by("lang", use_threads=False)
-                      .aggregate([([], "count_all")])
-                      ).to_pandas()  # bounded by #langs
-    n = counts["count_all"].to_numpy(np.float64)
+    counts = pa.concat_tables(block_rounds(exchange(
+        [ds.select_columns(["lang"])], [["lang"]],
+        lambda t: t.group_by("lang", use_threads=False)
+        .aggregate([([], "count_all")])), lambda t: t))  # bounded by #langs
+    n = counts["count_all"].to_numpy().astype(np.float64)
     nmin = n.min()
     thr = {}
-    for lang, ni in zip(counts["lang"], n):
+    for lang, ni in zip(counts["lang"].to_pylist(), n):
         thr[lang] = ("g" if ni <= nmin else
                      format(int(np.floor(np.sqrt(nmin / ni) * 2.0**32)),
                             "08x"))
@@ -2485,7 +2436,7 @@ def q_url_dedup(sf_dir: str):
     ports, fragments, utm_* params and trailing slashes — all vectorized
     pandas str ops — then one hash-partitioned exchange assigns per-group
     canonical_doc_id = min(doc_id), exactly like exact_dup_docs."""
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.urlnorm import canonicalize_urls, synthesize_messy_urls
 
     ds = _read(sf_dir, "documents", ["doc_id"])
@@ -2495,16 +2446,8 @@ def q_url_dedup(sf_dir: str):
         return pd.DataFrame({"doc_id": df["doc_id"].astype(np.int64),
                              "canon_url": canonicalize_urls(urls)})
 
-    def assign(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(["canon_url", "doc_id"])
-        key = part["canon_url"].to_numpy()
-        ids = part["doc_id"].to_numpy(dtype=np.int64)
-        first, gid, _ = group_boundaries(key)
-        return pd.DataFrame({"doc_id": ids, "canon_url": key,
-                             "canonical_doc_id": ids[first][gid]})
-
-    return grouped_partitions(ds.map_batches(canon_col, batch_format="pandas"),
-                              ["canon_url"], assign)
+    return exchange([ds.map_batches(canon_col, batch_format="pandas")],
+                    [["canon_url"]], _canon_min_id("canon_url"))
 
 
 def q_token_doc_freq(sf_dir: str):
@@ -2559,32 +2502,32 @@ def q_shingle_novelty(sf_dir: str):
     (each shingle wholly in one partition ⇒ its min is global) emitting
     tiny (first_doc, count) partials; the partials and the per-doc stats
     rows (map-only) meet in one doc-keyed summing exchange."""
-    from pcompress_ray.functions.ops import exchange, grouped_partitions
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.textstats import (doc_shingle_rows,
                                                 doc_shingle_stats)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     exploded = ds.map_batches(doc_shingle_rows, batch_format="pyarrow")
 
-    def min_doc_partials(part: pd.DataFrame) -> pd.DataFrame:
-        if len(part) == 0:
-            return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                                 "novel": pd.Series(dtype=np.int64)})
-        m = part.groupby("sh", sort=False)["doc_id"].min()
-        vc = m.value_counts()
-        return pd.DataFrame({"doc_id": vc.index.to_numpy(np.int64),
-                             "novel": vc.to_numpy(np.int64)})
+    def min_doc_partials(part: pa.Table) -> pa.Table:
+        return part.group_by("sh", use_threads=False) \
+            .aggregate([("doc_id", "min")]) \
+            .group_by("doc_id_min", use_threads=False) \
+            .aggregate([([], "count_all")]).rename_columns(["doc_id", "novel"])
 
-    partials = grouped_partitions(exploded, ["sh"], min_doc_partials)
+    partials = exchange([exploded], [["sh"]], min_doc_partials)
 
-    def sum_part(p: pa.Table, s: pa.Table) -> pd.DataFrame:
-        novel = p.to_pandas().groupby("doc_id", as_index=False)["novel"].sum()
-        n_sh = s.select(["doc_id", "n_shingles"]).to_pandas() \
-            .groupby("doc_id", as_index=False)["n_shingles"].sum()
-        g = n_sh.merge(novel, on="doc_id", how="outer").fillna(0)
-        return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(np.int64),
-                             "n_shingles": g["n_shingles"].to_numpy(np.int64),
-                             "n_novel": g["novel"].to_numpy(np.int64)})
+    def sum_part(p: pa.Table, s: pa.Table) -> pa.Table:
+        def summed(t: pa.Table, col: str) -> pa.Table:
+            return t.group_by("doc_id", use_threads=False) \
+                .aggregate([(col, "sum")]).rename_columns(["doc_id", col])
+
+        g = summed(s, "n_shingles").join(summed(p, "novel"), "doc_id",
+                                         join_type="full outer")
+        return pa.table({"doc_id": g["doc_id"],
+                         "n_shingles": g["n_shingles"].fill_null(0)
+                         .cast(pa.int64()),
+                         "n_novel": g["novel"].fill_null(0).cast(pa.int64())})
 
     out = exchange([partials,
                     ds.map_batches(doc_shingle_stats, batch_format="pyarrow")],
@@ -2599,7 +2542,9 @@ def q_source_overlap(sf_dir: str):
     of distinct token 3-grams present in BOTH sources. One shingle-keyed
     exchange; per partition a vectorized self-merge over the (few) sources
     sharing each shingle; final per-pair sum is tiny (#sources² rows)."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    import pyarrow.compute as pc
+
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.textstats import doc_shingle_rows
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
@@ -2607,32 +2552,23 @@ def q_source_overlap(sf_dir: str):
         lambda t: doc_shingle_rows(t, carry_col="source"),
         batch_format="pyarrow")
 
-    def pair_partials(part: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"source_a": pd.Series(dtype=str),
-                              "source_b": pd.Series(dtype=str),
-                              "n": pd.Series(dtype=np.int64)})
-        if len(part) == 0:
-            return empty
-        d = part[["sh", "source"]].drop_duplicates()
-        m = d.merge(d, on="sh")
-        m = m[m["source_x"] < m["source_y"]]
-        if len(m) == 0:
-            return empty
-        g = m.groupby(["source_x", "source_y"], as_index=False).size()
-        return pd.DataFrame({"source_a": g["source_x"].astype(str),
-                             "source_b": g["source_y"].astype(str),
-                             "n": g["size"].to_numpy(np.int64)})
+    def pair_partials(part: pa.Table) -> pa.Table:
+        d = part.group_by(["sh", "source"], use_threads=False).aggregate([])
+        m = d.join(d, "sh", left_suffix="_a", right_suffix="_b")
+        return m.filter(pc.less(m["source_a"], m["source_b"])) \
+            .group_by(["source_a", "source_b"], use_threads=False) \
+            .aggregate([([], "count_all")]) \
+            .rename_columns(["source_a", "source_b", "n"])
 
-    partials = grouped_partitions(exploded, ["sh"], pair_partials)
+    partials = exchange([exploded], [["sh"]], pair_partials)
 
-    def sum_part(p: pd.DataFrame) -> pd.DataFrame:
-        g = p.groupby(["source_a", "source_b"], as_index=False)["n"].sum()
-        return pd.DataFrame({"source_a": g["source_a"].astype(str),
-                             "source_b": g["source_b"].astype(str),
-                             "n_shared": g["n"].to_numpy(np.int64)})
+    def sum_part(p: pa.Table) -> pa.Table:
+        return p.group_by(["source_a", "source_b"], use_threads=False) \
+            .aggregate([("n", "sum")]) \
+            .rename_columns(["source_a", "source_b", "n_shared"])
 
-    out = grouped_partitions(partials, ["source_a", "source_b"], sum_part,
-                             n_parts=8)
+    out = exchange([partials], [["source_a", "source_b"]], sum_part,
+                   n_parts=8)
 
     return _typed(out, {"source_a": pa.string(), "source_b": pa.string(),
                         "n_shared": pa.int64()}) \
@@ -2650,7 +2586,7 @@ def q_corpus_merkle(sf_dir: str):
     lives, only 64 digests leave the workers."""
     import hashlib
 
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange, run_starts
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -2662,25 +2598,20 @@ def q_corpus_merkle(sf_dir: str):
                          "doc_id": pa.array(ids),
                          "leaf": pa.array(leaves, pa.string())})
 
-    def roll(part: pd.DataFrame) -> pd.DataFrame:
-        if not len(part):
-            return pd.DataFrame({"bucket": pd.Series([], dtype=np.int64),
-                                 "n_docs": pd.Series([], dtype=np.int64),
-                                 "bucket_sha": pd.Series([], dtype=object)})
-        part = part.sort_values(["bucket", "doc_id"], kind="stable")
-        out_b, out_n, out_s = [], [], []
-        for bkt, g in part.groupby("bucket", sort=True):
-            out_b.append(int(bkt))
-            out_n.append(len(g))
-            out_s.append(hashlib.sha256(
-                "".join(g["leaf"]).encode("ascii")).hexdigest())
-        return pd.DataFrame({"bucket": np.asarray(out_b, np.int64),
-                             "n_docs": np.asarray(out_n, np.int64),
-                             "bucket_sha": out_s})
+    def roll(part: pa.Table) -> pa.Table:
+        part = part.sort_by([("bucket", "ascending"), ("doc_id", "ascending")])
+        starts = np.flatnonzero(run_starts(part["bucket"]))
+        ends = np.append(starts[1:], len(part))
+        leaves = part["leaf"].to_pylist()
+        return pa.table({
+            "bucket": part["bucket"].take(starts),
+            "n_docs": (ends - starts).astype(np.int64),
+            "bucket_sha": pa.array([hashlib.sha256("".join(
+                leaves[s:e]).encode("ascii")).hexdigest()
+                for s, e in zip(starts, ends)], pa.string())})
 
-    out = grouped_partitions(ds.map_batches(add_leaf,
-                                            batch_format="pyarrow"),
-                             ["bucket"], roll, n_parts=16)
+    out = exchange([ds.map_batches(add_leaf, batch_format="pyarrow")],
+                   [["bucket"]], roll, n_parts=16)
 
     return _typed(out, {"bucket": pa.int64(), "n_docs": pa.int64(),
                         "bucket_sha": pa.string()}).sort("bucket")
@@ -2692,22 +2623,23 @@ def q_corpus_fingerprint(sf_dir: str):
     integrity-manifest analog of the reference's decoded-payload SHA
     gate (test/backward_compat/). Per-block partials (XOR commutes), one
     tiny per-lang combine; no driver materialization."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange, run_starts
     from pcompress_ray.stages.textstats import sha_prefix_fingerprint
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
     partials = ds.map_batches(sha_prefix_fingerprint, batch_format="pyarrow")
 
-    def combine(p: pd.DataFrame) -> pd.DataFrame:
-        g = p.groupby("lang", as_index=False).agg(
-            n_docs=("n_docs", "sum"),
-            fingerprint=("fingerprint",
-                         lambda s: np.bitwise_xor.reduce(s.to_numpy())))
-        return pd.DataFrame({"lang": g["lang"].astype(str),
-                             "n_docs": g["n_docs"].to_numpy(np.int64),
-                             "fingerprint": g["fingerprint"].to_numpy(np.int64)})
+    def combine(p: pa.Table) -> pa.Table:
+        p = p.sort_by("lang")
+        starts = np.flatnonzero(run_starts(p["lang"]))
+        return pa.table({
+            "lang": p["lang"].take(starts),
+            "n_docs": np.add.reduceat(p["n_docs"].to_numpy(), starts)
+            .astype(np.int64),
+            "fingerprint": np.bitwise_xor.reduceat(
+                p["fingerprint"].to_numpy(), starts).astype(np.int64)})
 
-    out = grouped_partitions(partials, ["lang"], combine, n_parts=8)
+    out = exchange([partials], [["lang"]], combine, n_parts=8)
 
     return _typed(out, {"lang": pa.string(), "n_docs": pa.int64(),
                         "fingerprint": pa.int64()}).sort("lang")
@@ -2722,7 +2654,7 @@ def q_stratified_sample(sf_dir: str):
     rows per (lang, batch) → final top-k; the corpus never shuffles."""
     import hashlib
 
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange, run_ranks, run_starts
 
     K = 20
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
@@ -2738,13 +2670,12 @@ def q_stratified_sample(sf_dir: str):
 
     partials = ds.map_batches(partial_topk, batch_format="pandas")
 
-    def final_topk(p: pd.DataFrame) -> pd.DataFrame:
-        p = p.sort_values(["lang", "key", "doc_id"]) \
-             .groupby("lang", sort=False).head(K)
-        return pd.DataFrame({"lang": p["lang"].astype(str),
-                             "doc_id": p["doc_id"].to_numpy(np.int64)})
+    def final_topk(p: pa.Table) -> pa.Table:
+        p = p.sort_by([(c, "ascending") for c in ("lang", "key", "doc_id")])
+        return p.filter(run_ranks(run_starts(p["lang"])) < K) \
+            .select(["lang", "doc_id"])
 
-    out = grouped_partitions(partials, ["lang"], final_topk, n_parts=8)
+    out = exchange([partials], [["lang"]], final_topk, n_parts=8)
 
     return _typed(out, {"lang": pa.string(), "doc_id": pa.int64()}
                   ).sort(["lang", "doc_id"])
@@ -2758,50 +2689,47 @@ def q_pmi_bigrams(sf_dir: str):
     ULP drift (same idea as tfidf_top_term's pre-quantized idf). Unigram
     model broadcast like lm_quality (bounded by vocabulary, not corpus);
     bigram counts arrive map-side-combined like top_bigrams."""
+    import pyarrow.compute as pc
     import ray
 
-    from pcompress_ray.functions.ops import exchange
+    from pcompress_ray.functions.ops import block_rounds, exchange
     from pcompress_ray.stages.textstats import (bigram_counts,
                                                 unigram_vocab_counts)
 
     MIN_AB = 5
     ds = _read(sf_dir, "documents", ["text"])
-    vocab = exchange(
+    vocab = pa.concat_tables(block_rounds(exchange(
         [ds.map_batches(unigram_vocab_counts, batch_format="pyarrow")],
         [["tok"]], lambda t: t.group_by("tok", use_threads=False).aggregate(
-            [("n", "sum")])).to_pandas()  # bounded by vocabulary size
+            [("n", "sum")])), lambda t: t))  # bounded by vocabulary size
     toks = vocab["tok"].to_numpy()
     order = np.argsort(toks)
     toks_sorted = toks[order]
-    cnt_sorted = vocab["n_sum"].to_numpy(np.int64)[order]
+    cnt_sorted = vocab["n_sum"].to_numpy().astype(np.int64)[order]
     n_total = int(cnt_sorted.sum())
     # int64 bound: lift numerator ≤ N²·1e6 — exact in int64 for N ≤ 3e6
     # tokens; beyond that fall back to arbitrary-precision Python ints
     use_np = n_total <= 3_000_000
     toks_ref, cnt_ref = ray.put(toks_sorted), ray.put(cnt_sorted)
 
-    def lift(t: pa.Table) -> pd.DataFrame:
-        df = t.group_by("bigram", use_threads=False).aggregate(
-            [("n", "sum")]).rename_columns(["bigram", "n_ab"]).to_pandas()
-        df = df[df["n_ab"].to_numpy() >= MIN_AB]
-        if len(df) == 0:
-            return pd.DataFrame({"bigram": pd.Series(dtype=str),
-                                 "n_ab": pd.Series(dtype=np.int64),
-                                 "lift_e6": pd.Series(dtype=np.int64)})
+    def lift(t: pa.Table) -> pa.Table:
+        g = t.group_by("bigram", use_threads=False).aggregate(
+            [("n", "sum")]).rename_columns(["bigram", "n_ab"])
+        g = g.filter(pc.greater_equal(g["n_ab"], MIN_AB))
         tk, ct = ray.get(toks_ref), ray.get(cnt_ref)
-        parts = df["bigram"].str.split(" ", n=1, expand=True)
-        ca = ct[np.searchsorted(tk, parts[0].to_numpy())]
-        cb = ct[np.searchsorted(tk, parts[1].to_numpy())]
-        n_ab = df["n_ab"].to_numpy(np.int64)
+        halves = pc.split_pattern(g["bigram"], " ", max_splits=1)
+        ca, cb = (ct[np.searchsorted(tk, pc.list_element(halves, i)
+                                     .to_numpy(zero_copy_only=False))]
+                  for i in (0, 1))
+        n_ab = g["n_ab"].to_numpy().astype(np.int64)
         if use_np:
             lift_e6 = (n_ab * n_total * 1_000_000) // (ca * cb)
         else:
             lift_e6 = np.fromiter(
                 ((int(a) * n_total * 1_000_000) // (int(x) * int(y))
                  for a, x, y in zip(n_ab, ca, cb)), np.int64, n_ab.size)
-        return pd.DataFrame({"bigram": df["bigram"].astype(str),
-                             "n_ab": n_ab,
-                             "lift_e6": lift_e6.astype(np.int64)})
+        return pa.table({"bigram": g["bigram"], "n_ab": n_ab,
+                         "lift_e6": lift_e6.astype(np.int64)})
 
     out = exchange([ds.map_batches(bigram_counts, batch_format="pyarrow")],
                    [["bigram"]], lift)
@@ -3244,7 +3172,7 @@ def q_corpus_shuffle(sf_dir: str, n_shards: int = 16, seed: int = 42):
     kept here so DuckDB's sha256 twins the key bit-for-bit."""
     import hashlib
 
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    from pcompress_ray.functions.ops import exchange, run_ranks, run_starts
 
     ds = _read(sf_dir, "documents", ["doc_id"])
 
@@ -3258,18 +3186,15 @@ def q_corpus_shuffle(sf_dir: str, n_shards: int = 16, seed: int = 42):
                          "shard_id": pa.array(shard),
                          "k": pa.array(hx, pa.string())})
 
-    def rank(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(["shard_id", "k", "doc_id"], kind="stable")
-        sh = part["shard_id"].to_numpy(np.int64)
-        first, gid, _ = group_boundaries(sh)
-        starts = np.flatnonzero(first)
-        pos = np.arange(len(part), dtype=np.int64) - starts[gid]
-        return pd.DataFrame({"doc_id": part["doc_id"].to_numpy(np.int64),
-                             "shard_id": sh, "pos": pos})
+    def rank(part: pa.Table) -> pa.Table:
+        part = part.sort_by([(c, "ascending") for c in ("shard_id", "k", "doc_id")])
+        pos = run_ranks(run_starts(part["shard_id"])).astype(np.int64)
+        return part.select(["doc_id", "shard_id"]).append_column(
+            "pos", pa.array(pos))
 
     keyed = ds.map_batches(key, batch_format="pyarrow")
-    return grouped_partitions(keyed, ["shard_id"], rank,
-                              n_parts=n_shards).sort("doc_id")
+    return exchange([keyed], [["shard_id"]], rank,
+                    n_parts=n_shards).sort("doc_id")
 
 
 _BM25_TERMS = ("hash", "merge", "scan", "table")
@@ -3305,40 +3230,32 @@ def q_inverted_index(sf_dir: str, top_k: int = 20):
     bounded by vocab x top_k regardless of corpus size."""
     import pyarrow.compute as pc
 
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    from pcompress_ray.functions.ops import exchange, run_ranks, run_starts
     from pcompress_ray.stages.textstats import doc_token_counts
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     tokc = ds.map_batches(doc_token_counts, batch_format="pyarrow")
 
-    def build(part: pd.DataFrame) -> pd.DataFrame:
-        if not len(part):
-            return pd.DataFrame({"tok": pd.Series([], dtype=object),
-                                 "df": pd.Series([], dtype=np.int64),
-                                 "champions": pd.Series([], dtype=object)})
+    def build(part: pa.Table) -> pa.Table:
         # rows are FINAL tfs already — doc_token_counts emits one row per
         # distinct (doc, tok) and a doc never spans batches — so no
         # re-aggregation here, just the per-token impact sort.
-        agg = part.sort_values(["tok", "c", "doc_id"],
-                               ascending=[True, False, True], kind="stable")
-        tokv = agg["tok"].to_numpy()
-        first, gid, sizes = group_boundaries(tokv)
+        agg = part.sort_by([("tok", "ascending"), ("c", "descending"),
+                            ("doc_id", "ascending")])
+        first = run_starts(agg["tok"])
         starts = np.flatnonzero(first)
-        pos = np.arange(len(agg), dtype=np.int64) - starts[gid]
-        keep = pos < top_k
+        sizes = np.diff(np.append(starts, len(agg)))
+        keep = run_ranks(first) < top_k
         ck = np.cumsum(keep.astype(np.int64))
-        off = np.empty(starts.size + 1, dtype=np.int64)
-        off[0] = 0
+        off = np.zeros(starts.size + 1, dtype=np.int64)
         off[1:] = ck[starts + sizes - 1]
-        champs = agg["doc_id"].to_numpy(np.int64)[keep].astype(str)
-        lst = pa.LargeListArray.from_arrays(pa.array(off),
-                                            pa.array(champs, pa.string()))
-        joined = pc.binary_join(lst, ",").to_pandas()
-        return pd.DataFrame({"tok": tokv[starts],
-                             "df": sizes.astype(np.int64),
-                             "champions": joined.to_numpy()})
+        champs = agg["doc_id"].filter(keep).cast(pa.string()).combine_chunks()
+        lst = pa.LargeListArray.from_arrays(pa.array(off), champs)
+        return pa.table({"tok": agg["tok"].take(starts),
+                         "df": sizes.astype(np.int64),
+                         "champions": pc.binary_join(lst, ",")})
 
-    return grouped_partitions(tokc, ["tok"], build, n_parts=32).sort("tok")
+    return exchange([tokc], [["tok"]], build, n_parts=32).sort("tok")
 
 
 def q_dedup_keep_best(sf_dir: str):
@@ -3351,7 +3268,7 @@ def q_dedup_keep_best(sf_dir: str):
     canonicalization and quality_batch's e6-quantized composite score.
     ONE canon_url-keyed exchange; per-partition argmax is a vectorized
     (key, -q, id) sort + group-start gather."""
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    from pcompress_ray.functions.ops import exchange, run_starts
     from pcompress_ray.stages.textstats import quality_batch
     from pcompress_ray.stages.urlnorm import canonicalize_urls, synthesize_messy_urls
 
@@ -3368,23 +3285,19 @@ def q_dedup_keep_best(sf_dir: str):
                 q["quality_score"].to_numpy(np.float64) * 1e6 + 0.5)
             .astype(np.int64)})
 
-    def assign(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(
-            ["canon_url", "quality_score_e6", "doc_id"],
-            ascending=[True, False, True], kind="stable")
-        key = part["canon_url"].to_numpy()
-        ids = part["doc_id"].to_numpy(np.int64)
-        first, gid, _ = group_boundaries(key)
-        canon = ids[first][gid]
-        return pd.DataFrame({
-            "doc_id": ids, "canon_url": key,
-            "quality_score_e6": part["quality_score_e6"]
-            .to_numpy(np.int64),
-            "canonical_doc_id": canon,
-            "is_kept": (ids == canon).astype(np.int64)})
+    def assign(part: pa.Table) -> pa.Table:
+        part = part.sort_by([("canon_url", "ascending"),
+                             ("quality_score_e6", "descending"),
+                             ("doc_id", "ascending")])
+        ids = part["doc_id"].to_numpy()
+        first = run_starts(part["canon_url"])
+        canon = ids[first][np.cumsum(first) - 1]
+        return part.select(["doc_id", "canon_url", "quality_score_e6"]) \
+            .append_column("canonical_doc_id", pa.array(canon)) \
+            .append_column("is_kept", pa.array((ids == canon).astype(np.int64)))
 
     featd = ds.map_batches(feat, batch_format="pandas")
-    return grouped_partitions(featd, ["canon_url"], assign).sort("doc_id")
+    return exchange([featd], [["canon_url"]], assign).sort("doc_id")
 
 
 def q_nb_classify(sf_dir: str):
@@ -3402,34 +3315,34 @@ def q_nb_classify(sf_dir: str):
     prediction = argmin over classes with ties to the smallest class
     name, so the SQL twin hashes identically. At web scale (vocab >>
     driver memory) the broadcast swaps for a token-keyed
-    grouped_partitions join, same as tfidf_top_term."""
+    ``exchange`` join, same as tfidf_top_term."""
     import ray
 
-    from pcompress_ray.functions.ops import exchange
+    from pcompress_ray.functions.ops import block_rounds, exchange
     from pcompress_ray.stages.textstats import (nb_score_batch,
                                                 source_token_counts)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     keys = ["source", "tok"]
-    ctc = exchange([ds.map_batches(source_token_counts,
-                                   batch_format="pyarrow")], [keys],
-                   lambda t: t.group_by(keys, use_threads=False).aggregate(
-                       [("n", "sum")])
-                   ).to_pandas()  # bounded by classes x vocabulary
-    nd = exchange([_read(sf_dir, "documents", ["source"])], [["source"]],
-                  lambda t: t.group_by("source", use_threads=False)
-                  .aggregate([([], "count_all")])
-                  ).to_pandas()  # bounded by classes
+    ctc = pa.concat_tables(block_rounds(exchange(
+        [ds.map_batches(source_token_counts, batch_format="pyarrow")], [keys],
+        lambda t: t.group_by(keys, use_threads=False).aggregate(
+            [("n", "sum")])), lambda t: t))  # bounded by classes x vocabulary
+    nd = pa.concat_tables(block_rounds(exchange(
+        [_read(sf_dir, "documents", ["source"])], [["source"]],
+        lambda t: t.group_by("source", use_threads=False)
+        .aggregate([([], "count_all")])), lambda t: t))  # bounded by classes
 
-    classes = np.sort(nd["source"].to_numpy())
-    ndocs = nd.set_index("source").loc[classes, "count_all"] \
-        .to_numpy(np.int64)
-    vocab = np.sort(ctc["tok"].unique())
+    src = nd["source"].to_numpy()
+    order = np.argsort(src)
+    classes = src[order]
+    ndocs = nd["count_all"].to_numpy()[order]
+    vocab = np.unique(ctc["tok"].to_numpy())
     V = vocab.size
     cmat = np.zeros((classes.size, V), np.int64)
     ci = np.searchsorted(classes, ctc["source"].to_numpy())
     ti = np.searchsorted(vocab, ctc["tok"].to_numpy())
-    cmat[ci, ti] = ctc["n_sum"].to_numpy(np.int64)
+    cmat[ci, ti] = ctc["n_sum"].to_numpy()
     tot = cmat.sum(axis=1)
     # same IEEE ops as the twin: int+1 -> double, / (tot+V) double, -ln
     lp = np.floor(-np.log((cmat + 1.0) / (tot[:, None] + float(V)))
@@ -3637,7 +3550,9 @@ def q_cocitation(sf_dir: str, min_shared: int = 2):
     the modular-inverse formula (one streaming pass, no edge table, no
     join) and counts pairs with one (a,b)-keyed exchange; the oracle
     self-joins an explicit edge CTE. Emitted pairs are ordered a < b."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    import pyarrow.compute as pc
+
+    from pcompress_ray.functions.ops import exchange
 
     ds = _read(sf_dir, "documents", ["doc_id"])
     n = ds.count()
@@ -3660,14 +3575,14 @@ def q_cocitation(sf_dir: str, min_shared: int = 2):
         return pa.table({"a": pa.array(np.concatenate(outs_a)),
                          "b": pa.array(np.concatenate(outs_b))})
 
-    def count(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(["a", "b"], as_index=False, sort=False).size() \
-            .rename(columns={"size": "shared"})
-        g = g[g["shared"] >= min_shared]
-        return g.astype({"a": np.int64, "b": np.int64, "shared": np.int64})
+    def count(part: pa.Table) -> pa.Table:
+        g = part.group_by(["a", "b"], use_threads=False) \
+            .aggregate([([], "count_all")]) \
+            .rename_columns(["a", "b", "shared"])
+        return g.filter(pc.greater_equal(g["shared"], min_shared))
 
-    out = grouped_partitions(ds.map_batches(emit, batch_format="pyarrow"),
-                             ["a", "b"], count, n_parts=16)
+    out = exchange([ds.map_batches(emit, batch_format="pyarrow")],
+                   [["a", "b"]], count, n_parts=16)
 
     return _typed(out, {"page_a": ("a", pa.int64()),
                         "page_b": ("b", pa.int64()), "shared": pa.int64()})
@@ -3772,7 +3687,7 @@ def q_domain_stats(sf_dir: str):
     page counts, distinct canonical pages, bytes) over the same synthetic
     hosts + the urlnorm canonical key. One host-keyed groupby with
     map-side combine; output bounded by distinct hosts."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.urlnorm import canonicalize_urls, synthesize_messy_urls
 
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
@@ -3785,19 +3700,16 @@ def q_domain_stats(sf_dir: str):
                 synthesize_messy_urls(ids)).to_numpy(),
             "n_chars": df["n_chars"].to_numpy(np.int64)})
 
-    def roll(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("host", sort=False).agg(
-            n_docs=("canon_url", "size"),
-            n_pages=("canon_url", "nunique"),
-            total_chars=("n_chars", "sum")).reset_index()
-        return g.astype({"n_docs": np.int64, "n_pages": np.int64,
-                         "total_chars": np.int64})
+    def roll(part: pa.Table) -> pa.Table:
+        return part.group_by("host", use_threads=False).aggregate(
+            [([], "count_all"), ("canon_url", "count_distinct"),
+             ("n_chars", "sum")]) \
+            .rename_columns(["host", "n_docs", "n_pages", "total_chars"])
 
     featd = ds.map_batches(feat, batch_format="pandas")
     # host-keyed partitions: all rows of a host co-locate, so per-host
-    # nunique is exact without a second exchange
-    return grouped_partitions(featd, ["host"], roll,
-                              n_parts=16).sort("host")
+    # distinct count is exact without a second exchange
+    return exchange([featd], [["host"]], roll, n_parts=16).sort("host")
 
 
 def q_crawl_schedule(sf_dir: str):
@@ -3874,30 +3786,23 @@ def q_event_window_dedup(sf_dir: str, window_s: int = 600):
     as sessionize, no per-key Python, and the SQL twin is a plain LAG.
     At stream scale this runs per arriving micro-batch against a
     per-worker (user,type)->last_ts dict, same semantics."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange, run_starts
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
 
-    def mark(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(["user_id", "event_type", "ts", "event_id"],
-                                kind="stable")
-        u = part["user_id"].to_numpy(np.int64)
-        et = part["event_type"].to_numpy()
-        ts = part["ts"].astype("int64").to_numpy()  # us
-        same = np.zeros(len(part), bool)
-        if len(part) > 1:
-            same[1:] = (u[1:] == u[:-1]) & (et[1:] == et[:-1])
-        gap = np.empty(len(part), np.int64)
-        gap[0] = 0
-        if len(part) > 1:
-            gap[1:] = ts[1:] - ts[:-1]
+    def mark(part: pa.Table) -> pa.Table:
+        part = part.sort_by([(c, "ascending")
+                             for c in ("user_id", "event_type", "ts",
+                                       "event_id")])
+        same = ~(run_starts(part["user_id"]) | run_starts(part["event_type"]))
+        ts = part["ts"].cast(pa.int64()).to_numpy()  # us
+        gap = np.zeros(len(part), np.int64)
+        gap[1:] = ts[1:] - ts[:-1]
         dup = same & (gap <= window_s * 1_000_000)
-        return pd.DataFrame({
-            "event_id": part["event_id"].to_numpy(np.int64),
-            "is_dup": dup.astype(np.int64)})
+        return pa.table({"event_id": part["event_id"],
+                         "is_dup": dup.astype(np.int64)})
 
-    return grouped_partitions(ds, ["user_id"], mark,
-                              n_parts=32).sort("event_id")
+    return exchange([ds], [["user_id"]], mark, n_parts=32).sort("event_id")
 
 
 def q_cdx_index(sf_dir: str):
@@ -3981,8 +3886,8 @@ def q_dedup_recall_eval(sf_dir: str):
     tests/ pin >= 0.99, this query makes the number a driver-visible
     artifact. One summary row: (n_truth, n_found, n_inter, recall_e6,
     precision_e6)."""
-    from pcompress_ray.functions.ops import (exchange, group_boundaries,
-                                             grouped_partitions)
+    from pcompress_ray.functions.ops import (block_rounds, exchange,
+                                             group_boundaries)
     from pcompress_ray.stages.candidates import ngram_jaccard_pairs
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -3990,13 +3895,12 @@ def q_dedup_recall_eval(sf_dir: str):
 
     res = _dedup_clusters(sf_dir)
 
-    def intra_pairs(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(["cluster_id", "rank"], kind="stable")
-        cid = part["cluster_id"].to_numpy(np.int64)
-        rk = part["rank"].to_numpy(np.int64)
-        first, _, sizes = group_boundaries(cid)
+    def intra_pairs(part: pa.Table) -> pa.Table:
+        part = part.sort_by([("cluster_id", "ascending"), ("rank", "ascending")])
+        rk = part["rank"].to_numpy().astype(np.int64)
+        first, _, sizes = group_boundaries(part["cluster_id"].to_numpy())
         starts = np.flatnonzero(first)
-        out_a, out_b = [], []
+        out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         for s, m in zip(starts, sizes):
             if m < 2:
                 continue
@@ -4004,15 +3908,11 @@ def q_dedup_recall_eval(sf_dir: str):
             ai, bi = np.triu_indices(int(m), k=1)
             out_a.append(seg[ai])
             out_b.append(seg[bi])
-        if not out_a:
-            return pd.DataFrame({"a": pd.Series(dtype=np.int64),
-                                 "b": pd.Series(dtype=np.int64)})
-        return pd.DataFrame({"a": np.concatenate(out_a),
-                             "b": np.concatenate(out_b)})
+        return pa.table({"a": np.concatenate(out_a),
+                         "b": np.concatenate(out_b)})
 
-    found = grouped_partitions(
-        res.clusters.select_columns(["rank", "cluster_id"]),
-        ["cluster_id"], intra_pairs, n_parts=32)
+    found = exchange([res.clusters.select_columns(["rank", "cluster_id"])],
+                     [["cluster_id"]], intra_pairs, n_parts=32)
 
     def count_overlap(truth_p: pa.Table, found_p: pa.Table) -> pa.Table:
         def pairs(t: pa.Table, a: str, b: str) -> set:
@@ -4023,11 +3923,12 @@ def q_dedup_recall_eval(sf_dir: str):
         return pa.table({"n_truth": [len(t)], "n_found": [len(f)],
                          "n_inter": [len(t & f)]})
 
-    parts = exchange([truth, found], [["doc_a", "doc_b"], ["a", "b"]],
-                     count_overlap, n_parts=32).to_pandas()
-    n_truth = int(parts["n_truth"].sum())
-    n_found = int(parts["n_found"].sum())
-    n_inter = int(parts["n_inter"].sum())
+    cols = ["n_truth", "n_found", "n_inter"]
+    overlap = exchange([truth, found], [["doc_a", "doc_b"], ["a", "b"]],
+                       count_overlap, n_parts=32)
+    parts = block_rounds(overlap, lambda t: np.array(
+        [t[c].to_numpy().sum() for c in cols]))
+    n_truth, n_found, n_inter = map(int, sum(parts, np.zeros(3, np.int64)))
     rec = int(np.floor(n_inter / max(n_truth, 1) * 1e6 + 0.5))
     prec = int(np.floor(n_inter / max(n_found, 1) * 1e6 + 0.5))
     return pd.DataFrame({"n_truth": [n_truth], "n_found": [n_found],

@@ -18,9 +18,10 @@ in the driver.
   follows the input bytes, one partition per ``_PART_BYTES`` up to the
   caller's ``n_parts``; their in-flight input bytes are bounded by a share
   of the object store, so inputs larger than the store exchange through
-  spill.
-- ``grouped_partitions`` / ``fast_grouped_partitions``: the single-input
-  form, handing ``fn`` one pandas DataFrame per partition.
+  spill. ``fn`` takes and returns ``pa.Table``: per-key logic is Arrow
+  (``sort_by``, ``group_by(..., use_threads=False).aggregate``, ``take``,
+  ``pc.is_in``) or numpy over the partition's column buffers, with
+  ``run_starts``/``run_ranks`` for the runs of a sorted partition.
 - ``hash_join``, ``asof_join``, ``band_join_count``: two-input exchanges;
   the join itself (an Arrow/Acero hash join, a forward-fill scan, a
   per-bucket range count) runs inside ``fn``.
@@ -92,13 +93,6 @@ def _arrow(block) -> pa.Table:
     return t.replace_schema_metadata(None)
 
 
-def _apply(fn, tables: list) -> pa.Table:
-    r = fn(*tables)
-    if isinstance(r, pd.DataFrame):
-        r = pa.Table.from_pandas(r, preserve_index=False)
-    return r.replace_schema_metadata(None)
-
-
 def _inflight_cap() -> int:
     """Input bytes that a ``bounded_submit`` loop's submitted, unfinished
     tasks may hold at once: 20% of the cluster object store, read once per
@@ -143,9 +137,9 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
     inputs; integer keys of any width hash alike). All rows of any key
     value, from every input, reach exactly one ``fn`` call; an input with
     no rows in that partition arrives as an empty table of its own schema.
-    ``fn`` returns a pa.Table (a pandas return is converted); the result is
-    a Dataset of those outputs. When no input has a row, ``fn`` runs once
-    on the empty tables, so the result still carries its typed schema
+    ``fn`` returns a pa.Table; the result is a Dataset of those outputs.
+    When no input has a row, ``fn`` runs once on the empty tables, so the
+    result still carries its typed schema
     (unless an input has no schema at all, e.g. an empty Dataset that Ray
     repartitioned or filtered to nothing: then the result has no schema
     either). An input with no schema next to another input's rows raises
@@ -221,7 +215,7 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
                 else next((t for t in mine if t.num_columns), pa.table({})))
         if not any(map(len, tables)) and not all(t.num_columns for t in tables):
             return pa.table({})  # no rows, and no schema to hand fn
-        return _apply(fn, tables)
+        return fn(*tables).replace_schema_metadata(None)
 
     submit = bounded_submit()
     rem = ray.remote(slicer).options(num_returns=P + 1)
@@ -245,23 +239,19 @@ def exchange(inputs: list, keys: list[list[str]], fn, n_parts: int = 64):
         for p in (np.flatnonzero(counts) if counts.any() else [0])])
 
 
+# kept only as perfbench's probe targets: nothing in the package calls them
 def fast_grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64):
-    """Hash-partition one Dataset by ``key_cols``; apply ``fn`` once per
-    PARTITION, as one pandas DataFrame (all rows of every key that hashed
-    there). The single-input pandas form of ``exchange``.
+    """``exchange`` of one Dataset, handing ``fn`` one pandas DataFrame per
+    partition; a pandas return is converted to Arrow."""
+    def apply(t: pa.Table) -> pa.Table:
+        r = fn(t.to_pandas())
+        return r if isinstance(r, pa.Table) else \
+            pa.Table.from_pandas(r, preserve_index=False)
 
-    ``fn`` does its own vectorized per-key logic over a whole partition:
-    one call per partition, not one per group, so millions of tiny groups
-    (the chunk-hash / band-hash shuffles) cost no per-group Python call.
-    ``fn`` returns a pa.Table or a pandas DataFrame (converted with
-    pandas→arrow dtype mapping).
-    """
-    return exchange([ds], [key_cols], lambda t: fn(t.to_pandas()), n_parts)
+    return exchange([ds], [key_cols], apply, n_parts)
 
 
-def grouped_partitions(ds, key_cols: list[str], fn, n_parts: int = 64):
-    """``fast_grouped_partitions`` under its original name."""
-    return fast_grouped_partitions(ds, key_cols, fn, n_parts=n_parts)
+grouped_partitions = fast_grouped_partitions  # its original name
 
 
 def group_boundaries(sorted_keys: np.ndarray):
@@ -276,6 +266,25 @@ def group_boundaries(sorted_keys: np.ndarray):
     starts = np.flatnonzero(first)
     sizes = np.diff(np.append(starts, n))
     return first, gid, sizes
+
+
+def run_starts(col) -> np.ndarray:
+    """True at the first row of each run of equal values of a sorted Arrow
+    column (row 0 included); OR two columns' masks for a run of pairs."""
+    import pyarrow.compute as pc
+
+    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    first = np.ones(len(col), dtype=bool)
+    first[1:] = pc.not_equal(col[1:], col[:-1]).fill_null(True) \
+        .to_numpy(zero_copy_only=False)
+    return first
+
+
+def run_ranks(first: np.ndarray) -> np.ndarray:
+    """Every row's 0-based position within its run, given ``run_starts``'
+    mask (the per-group row number of a sorted partition)."""
+    idx = np.arange(first.size)
+    return idx - np.maximum.accumulate(np.where(first, idx, 0))
 
 
 def hash_join(left, right, left_on: str, right_on: str, n_buckets: int = 32,
@@ -483,29 +492,33 @@ def band_join_count(left, right, left_key: str, left_val: str,
                 sub = rv[r0:r1]
                 cnt[sel] = (np.searchsorted(sub, hi[sel], side="right")
                             - np.searchsorted(sub, lo[sel], side="left"))
-        df = pd.DataFrame({left_key: lt["__key"].to_numpy().astype(np.int64),
-                           "__n": cnt})
-        return df.groupby(left_key, as_index=False)["__n"].sum()
+        return pa.table({left_key: lt["__key"], "__n": pa.array(cnt)}) \
+            .group_by(left_key, use_threads=False) \
+            .aggregate([("__n", "sum")]).rename_columns([left_key, "__n"])
 
     parts = exchange([left.map_batches(left_rows, batch_format="pyarrow"),
                       right.map_batches(right_rows, batch_format="pyarrow")],
                      [["__bkt"], ["__bkt"]], count_part, n_parts=n_parts)
 
-    def sum_part(p: pd.DataFrame) -> pd.DataFrame:
-        g = p.groupby(left_key, as_index=False)["__n"].sum()
-        return pd.DataFrame({left_key: g[left_key].to_numpy(np.int64),
-                             "n_matches": g["__n"].to_numpy(np.int64)})
+    def sum_part(p: pa.Table) -> pa.Table:
+        return p.group_by(left_key, use_threads=False) \
+            .aggregate([("__n", "sum")]).rename_columns([left_key, "n_matches"])
 
-    return grouped_partitions(parts, [left_key], sum_part, n_parts=16)
+    return exchange([parts], [[left_key]], sum_part, n_parts=16)
 
 
 def materialized_block_refs(ds) -> list:
-    """Object refs of a Dataset's blocks. On a materialized Dataset this is
-    metadata-only; on a lazy one it triggers (one) execution."""
-    refs = []
-    for bundle in ds.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-    return refs
+    """Object refs of a Dataset's blocks. When they exist already (a
+    materialized Dataset, or one built from refs such as ``exchange``'s
+    output) this is metadata-only; on a lazy one it triggers (one)
+    execution."""
+    # iterating a Dataset built from refs launches an executor, since its
+    # plan has no computed output; ``materialize`` returns its blocks
+    # without one (and costs ~3 ms, so it is skipped when not needed)
+    if not ds._plan.has_computed_output():
+        ds = ds.materialize()
+    return [r for bundle in ds.iter_internal_ref_bundles()
+            for r in bundle.block_refs]
 
 
 def block_rounds(ds, fn) -> list:
@@ -580,16 +593,9 @@ def skew_report(ds, key_col: str, n_buckets: int = 64, n_parts: int = 32):
             "key": pa.array(k),
         })
 
-    def stats(part: pd.DataFrame) -> pd.DataFrame:
-        if not len(part):
-            return pd.DataFrame({
-                "bucket": pd.Series([], dtype=np.int64),
-                "n_rows": pd.Series([], dtype=np.int64),
-                "n_keys": pd.Series([], dtype=np.int64),
-                "max_key_rows": pd.Series([], dtype=np.int64),
-                "top_key": pd.Series([], dtype=np.int64)})
-        b = part["bucket"].to_numpy(np.int64)
-        k = part["key"].to_numpy(np.int64)
+    def stats(part: pa.Table) -> pa.Table:
+        b = part["bucket"].to_numpy()
+        k = part["key"].to_numpy()
         order = np.lexsort((k, b))
         b, k = b[order], k[order]
         new_pair = group_boundaries(b)[0]
@@ -610,13 +616,12 @@ def skew_report(ds, key_col: str, n_buckets: int = 64, n_parts: int = 32):
         cand = np.where(is_max, idx, np.iinfo(np.int64).max)
         first_max_idx = np.minimum.reduceat(cand, bstarts)
         top_key = pair_key[first_max_idx]
-        return pd.DataFrame({
+        return pa.table({
             "bucket": pair_bucket[bstarts],
             "n_rows": n_rows.astype(np.int64),
             "n_keys": n_keys.astype(np.int64),
             "max_key_rows": max_rows.astype(np.int64),
             "top_key": top_key.astype(np.int64)})
 
-    return grouped_partitions(ds.map_batches(add_bucket,
-                                             batch_format="pyarrow"),
-                              ["bucket"], stats, n_parts=n_parts)
+    return exchange([ds.map_batches(add_bucket, batch_format="pyarrow")],
+                    [["bucket"]], stats, n_parts=n_parts)

@@ -184,14 +184,19 @@ def _explode_payloads(chunked_ds, cfg: PipelineConfig, text_col: str):
                                   batch_size=cfg.batch_size)
 
 
-def _elect_compress_frame(part: pd.DataFrame, codec_text: str,
-                          codec_binary: str, preset: int,
-                          filters: tuple = ()) -> pd.DataFrame:
+def _elect_compress(part: pa.Table, codec_text: str, codec_binary: str,
+                    preset: int, filters: tuple = (),
+                    n_buckets: int | None = None) -> pa.Table:
     """Owner election + adaptive compression over one chunk_hash partition:
-    first occurrence per hash (min rank, then seq) wins and is compressed."""
-    part = part.sort_values(["chunk_hash", "rank", "seq"])
-    keep = part.drop_duplicates(["chunk_hash"], keep="first")
-    raw = keep["payload"].tolist()
+    first occurrence per hash (min rank, then seq) wins and is compressed.
+    With ``n_buckets``, each row also gets the store's hive partition
+    ``bucket`` (the exchange's hash over ``n_buckets``)."""
+    from pcompress_ray.functions.ops import partition_bucket_u64, run_starts
+
+    part = part.sort_by([(c, "ascending") for c in ("chunk_hash", "rank", "seq")])
+    first = run_starts(part["chunk_hash"])
+    h = part["chunk_hash"].to_numpy()
+    raw = part["payload"].filter(first).to_pylist()
     codecs: list[str] = []
     payloads: list[bytes] = []
     for data in raw:
@@ -199,12 +204,16 @@ def _elect_compress_frame(part: pd.DataFrame, codec_text: str,
             data, codec_text, codec_binary, preset=preset, filters=filters)
         codecs.append(codec)
         payloads.append(payload)
-    return pd.DataFrame({
-        "chunk_hash": keep["chunk_hash"].to_numpy(dtype=np.uint64),
-        "codec": codecs,
-        "payload": payloads,
+    out = pa.table({
+        "chunk_hash": h[first].astype(np.uint64),
+        "codec": pa.array(codecs, pa.string()),
+        "payload": pa.array(payloads, pa.binary()),
         "orig_len": np.asarray([len(d) for d in raw], dtype=np.int64),
     })
+    if n_buckets:
+        out = out.append_column("bucket", pa.array(
+            partition_bucket_u64(h[first], n_buckets)))
+    return out
 
 
 def _split_delta_members(pages_ds, cfg: PipelineConfig, text_col: str,
@@ -327,26 +336,22 @@ def archive_write(pages_ds, cfg: PipelineConfig | None = None,
     # reducer, so compression work is the UNIQUE byte count. Measured 30×
     # faster than the owner-metadata + rank-join alternative at 40k docs
     # (the join shipped every doc's full text anyway).
-    from pcompress_ray.functions.ops import (grouped_partitions,
-                                             partition_bucket_u64)
+    from pcompress_ray.functions.ops import exchange
 
     codec_text, codec_binary = cfg.archive_codec_text, cfg.archive_codec_binary
     preset = cfg.archive_lzma_preset
     n_buckets = cfg.archive_store_buckets
 
-    def elect_and_compress(part: pd.DataFrame) -> pd.DataFrame:
-        out = _elect_compress_frame(part, codec_text, codec_binary, preset,
-                                    cfg.archive_filters)
-        # the store's hive partition, the exchange's hash over
-        # archive_store_buckets, so archive_append can co-read ONLY the
-        # buckets its new hashes fall in (O(increment) appends)
-        out["bucket"] = partition_bucket_u64(
-            out["chunk_hash"].to_numpy(dtype=np.uint64), n_buckets)
-        return out
+    # the store's hive partition is the exchange's hash over
+    # archive_store_buckets, so archive_append can co-read ONLY the
+    # buckets its new hashes fall in (O(increment) appends)
+    def elect_and_compress(part: pa.Table) -> pa.Table:
+        return _elect_compress(part, codec_text, codec_binary, preset,
+                               cfg.archive_filters, n_buckets)
 
-    store = grouped_partitions(
-        _explode_payloads(chunked, cfg, text_col), ["chunk_hash"],
-        elect_and_compress, n_parts=cfg.archive_store_buckets).materialize()
+    store = exchange([_explode_payloads(chunked, cfg, text_col)],
+                     [["chunk_hash"]], elect_and_compress,
+                     n_parts=n_buckets).materialize()
 
     # ---- A3/A4 statistics: tiny per-batch partials, summed on the driver ----
     def store_partial(t: pa.Table) -> pa.Table:
@@ -449,7 +454,7 @@ def archive_restore(store_ds, manifest_ds, cfg: PipelineConfig | None = None,
     """
     cfg = cfg or PipelineConfig()
 
-    from pcompress_ray.functions.ops import grouped_partitions, hash_join
+    from pcompress_ray.functions.ops import exchange, hash_join, run_starts
 
     # delta-stored members (near_dedup archives) also have n_chunks == 0;
     # keep only chunk-stored rows in this phase — deltas resolve below
@@ -494,21 +499,14 @@ def archive_restore(store_ds, manifest_ds, cfg: PipelineConfig | None = None,
     dec = j.map_batches(decompress, batch_format="pyarrow",
                         batch_size=cfg.batch_size)
 
-    def reassemble(part: pd.DataFrame) -> pd.DataFrame:
-        if len(part) == 0:
-            return pd.DataFrame({"rank": pd.Series([], dtype=np.int64),
-                                 "url": pd.Series([], dtype=object),
-                                 "text": pd.Series([], dtype=object),
-                                 "sha_ok": pd.Series([], dtype=bool)})
-        part = part.sort_values(["rank", "seq"])
-        ranks = part["rank"].to_numpy(dtype=np.int64)
-        first = np.ones(ranks.size, dtype=bool)
-        first[1:] = ranks[1:] != ranks[:-1]
-        starts = np.flatnonzero(first)
+    def reassemble(part: pa.Table) -> pa.Table:
+        part = part.sort_by([("rank", "ascending"), ("seq", "ascending")])
+        ranks = part["rank"].to_numpy()
+        starts = np.flatnonzero(run_starts(part["rank"]))
         ends = np.append(starts[1:], ranks.size)
-        pieces = part["piece"].tolist()
-        urls = part["url"].tolist()
-        shas = part["text_sha256"].tolist()
+        pieces = part["piece"].to_pylist()
+        urls = part["url"].to_pylist()
+        shas = part["text_sha256"].to_pylist()
         out = {"rank": [], "url": [], "text": [], "sha_ok": []}
         for s, e in zip(starts, ends):
             data = b"".join(pieces[s:e])
@@ -517,12 +515,13 @@ def archive_restore(store_ds, manifest_ds, cfg: PipelineConfig | None = None,
             out["text"].append(data.decode("utf-8", "surrogatepass"))
             out["sha_ok"].append(
                 hashlib.sha256(data).hexdigest() == shas[s])
-        return pd.DataFrame({"rank": pd.Series(out["rank"], dtype=np.int64),
-                             "url": out["url"], "text": out["text"],
-                             "sha_ok": np.asarray(out["sha_ok"], dtype=bool)})
+        return pa.table({"rank": pa.array(out["rank"], pa.int64()),
+                         "url": pa.array(out["url"], pa.string()),
+                         "text": pa.array(out["text"], pa.string()),
+                         "sha_ok": pa.array(out["sha_ok"], pa.bool_())})
 
-    docs = grouped_partitions(dec, ["rank"], reassemble,
-                              n_parts=cfg.archive_store_buckets)
+    docs = exchange([dec], [["rank"]], reassemble,
+                    n_parts=cfg.archive_store_buckets)
 
     # zero-chunk docs have no exploded rows: union them back as empty texts
     import pyarrow.compute as pc
@@ -656,8 +655,7 @@ def archive_append(archive_dir: str, new_pages_ds,
     import pyarrow.parquet as pq
     import ray
 
-    from pcompress_ray.functions.ops import (exchange, grouped_partitions,
-                                             partition_bucket_u64,
+    from pcompress_ray.functions.ops import (exchange, partition_bucket_u64,
                                              zip_with_rank)
     from pcompress_ray.hashing import hash_strings
 
@@ -741,12 +739,12 @@ def archive_append(archive_dir: str, new_pages_ds,
     rows = _explode_payloads(chunked, cfg, text_col)
 
     if n_buckets:
-        def elect_bucketed(part: pd.DataFrame) -> pd.DataFrame:
+        def elect_bucketed(part: pa.Table) -> pa.Table:
             fresh = part
             if len(part):
                 # the exchange may run fewer partitions than the store has
                 # buckets, so one partition can hold rows of several
-                ch = part["chunk_hash"].to_numpy(dtype=np.uint64)
+                ch = part["chunk_hash"].to_numpy().astype(np.uint64)
                 files = [f for b in np.unique(partition_bucket_u64(
                     ch, n_buckets)) for f in glob.glob(os.path.join(
                         store_dir, f"bucket={b}", "*.parquet"))]
@@ -757,26 +755,22 @@ def archive_append(archive_dir: str, new_pages_ds,
                         .astype(np.uint64) for f in files]))
                     idx = np.minimum(np.searchsorted(old_h, ch),
                                      old_h.size - 1)
-                    fresh = part[old_h[idx] != ch]
-            out = _elect_compress_frame(fresh, codec_text, codec_binary,
-                                        preset, cfg.archive_filters)
-            out["bucket"] = partition_bucket_u64(
-                out["chunk_hash"].to_numpy(dtype=np.uint64), n_buckets)
-            return out
+                    fresh = part.filter(pa.array(old_h[idx] != ch))
+            return _elect_compress(fresh, codec_text, codec_binary, preset,
+                                   cfg.archive_filters, n_buckets)
 
-        store_new = grouped_partitions(rows, ["chunk_hash"], elect_bucketed,
-                                       n_parts=n_buckets).materialize()
+        store_new = exchange([rows], [["chunk_hash"]], elect_bucketed,
+                             n_parts=n_buckets).materialize()
         store_new.write_parquet(store_dir, partition_cols=["bucket"])
     else:
         # legacy layout: the whole old hash column co-partitioned with the
         # new rows (exact, but O(store) shuffle per append)
-        def elect_new(fresh: pa.Table, old: pa.Table) -> pd.DataFrame:
-            fresh = fresh.to_pandas()
-            fresh = fresh[~np.isin(
-                fresh["chunk_hash"].to_numpy(dtype=np.uint64),
-                old["chunk_hash"].to_numpy().astype(np.uint64))]
-            return _elect_compress_frame(fresh, codec_text, codec_binary,
-                                         preset, cfg.archive_filters)
+        def elect_new(fresh: pa.Table, old: pa.Table) -> pa.Table:
+            fresh = fresh.filter(pc.invert(pc.is_in(
+                fresh["chunk_hash"], value_set=old["chunk_hash"]
+                .combine_chunks().cast(fresh["chunk_hash"].type))))
+            return _elect_compress(fresh, codec_text, codec_binary, preset,
+                                   cfg.archive_filters)
 
         store_new = exchange(
             [rows, store_old.select_columns(["chunk_hash"])],

@@ -60,7 +60,7 @@ def curate_pipeline(pages_ds, cfg: PipelineConfig | None = None,
     import ray
     import ray.data as rd
 
-    from pcompress_ray.functions.ops import grouped_partitions, zip_with_rank
+    from pcompress_ray.functions.ops import exchange, run_starts, zip_with_rank
     from pcompress_ray.pipelines.checkpoint import CheckpointManager
     from pcompress_ray.pipelines.dedup import dedup_pipeline
     from pcompress_ray.stages.extract import Extractor
@@ -114,19 +114,15 @@ def curate_pipeline(pages_ds, cfg: PipelineConfig | None = None,
         df["canon_url"] = canonicalize_urls(df["url"].astype(str)).to_numpy()
         return df
 
-    def keep_first(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(["canon_url", "rank"], kind="stable")
-        cu = part["canon_url"].to_numpy()
-        first = np.empty(len(part), bool)
-        if len(part):
-            first[0] = True
-            first[1:] = cu[1:] != cu[:-1]
-        return part[first].drop(columns=["canon_url"])
+    def keep_first(part: pa.Table) -> pa.Table:
+        part = part.sort_by([("canon_url", "ascending"), ("rank", "ascending")])
+        return part.filter(run_starts(part["canon_url"])) \
+            .drop_columns(["canon_url"])
 
     _prev = ds
-    ds = stage("url_dedup", lambda: grouped_partitions(
-        _prev.map_batches(add_canon, batch_format="pandas"),
-        ["canon_url"], keep_first))
+    ds = stage("url_dedup", lambda: exchange(
+        [_prev.map_batches(add_canon, batch_format="pandas")],
+        [["canon_url"]], keep_first))
 
     # 3. heuristic quality rules (keep == 1)
     def heur(t: pa.Table) -> pa.Table:

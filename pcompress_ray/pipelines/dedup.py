@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from pcompress_ray.config import PipelineConfig
 from pcompress_ray.pipelines.checkpoint import CheckpointManager
@@ -151,51 +152,40 @@ def union_edges(*edge_dss, cfg: PipelineConfig | None = None):
     (a,b) exchange all edges already pay for — one shuffle fused out of the
     edges phase. Already-final "substring" rows (e.g. a previous run's
     checkpointed edges in the incremental path) pass through untouched."""
-    from pcompress_ray.functions.ops import exchange
+    from pcompress_ray.functions.ops import exchange, run_starts
 
     cfg = cfg or PipelineConfig()
     min_bytes, min_chunks = cfg.substring_min_bytes, cfg.substring_min_chunks
-    prio = {"exact": 0, "substring": 1, "near": 2}
+    prio = pa.array(["exact", "substring", "near"])
+    cols = {"a": pa.int64(), "b": pa.int64(), "kind": pa.string(),
+            "jaccard": pa.float64(), "shared_bytes": pa.int64(),
+            "shared_chunks": pa.int64()}
 
-    def frame(t: pa.Table) -> pd.DataFrame:
-        zeros = np.zeros(len(t), np.int64)
-        return pd.DataFrame({
-            "a": t["a"].to_numpy().astype(np.int64),
-            "b": t["b"].to_numpy().astype(np.int64),
-            "kind": t["kind"].to_numpy(zero_copy_only=False).astype(str),
-            "jaccard": t["jaccard"].to_numpy().astype(np.float64),
-            "shared_bytes": (t["shared_bytes"].to_numpy().astype(np.int64)
-                             if "shared_bytes" in t.column_names else zeros),
-            "shared_chunks": (t["shared_chunks"].to_numpy().astype(np.int64)
-                              if "shared_chunks" in t.column_names else zeros),
-        })
+    def typed(t: pa.Table) -> pa.Table:
+        zeros = pa.array(np.zeros(len(t), np.int64))
+        return pa.table({c: t[c].cast(ty) if c in t.column_names else zeros
+                         for c, ty in cols.items()})
 
     def best(*tables: pa.Table) -> pa.Table:
-        part = pd.concat([frame(t) for t in tables if t.num_columns],
-                         ignore_index=True)
-        is_part = part["kind"].to_numpy() == "substring_part"
-        if is_part.any():
-            partial = part[is_part]
-            summed = partial.groupby(["a", "b"], as_index=False, sort=False) \
-                .agg(shared_bytes=("shared_bytes", "sum"),
-                     shared_chunks=("shared_chunks", "sum"))
-            summed = summed[(summed["shared_bytes"] >= min_bytes)
-                            & (summed["shared_chunks"] >= min_chunks)]
-            summed = summed.assign(kind="substring", jaccard=0.0)
-            part = pd.concat([part[~is_part], summed], ignore_index=True)
+        part = pa.concat_tables([typed(t) for t in tables if t.num_columns])
+        is_part = pc.equal(part["kind"], "substring_part")
+        summed = part.filter(is_part).group_by(["a", "b"], use_threads=False) \
+            .aggregate([("shared_bytes", "sum"), ("shared_chunks", "sum")])
+        summed = summed.filter(pc.and_(
+            pc.greater_equal(summed["shared_bytes_sum"], min_bytes),
+            pc.greater_equal(summed["shared_chunks_sum"], min_chunks)))
+        n = len(summed)
+        part = pa.concat_tables([
+            part.filter(pc.invert(is_part)).select(["a", "b", "kind", "jaccard"]),
+            pa.table({"a": summed["a"], "b": summed["b"],
+                      "kind": pa.array(["substring"] * n, pa.string()),
+                      "jaccard": pa.array(np.zeros(n, np.float64))})])
         # vectorized best-kind-per-pair across the whole partition
-        part = part.assign(_p=part["kind"].map(prio)) \
-                   .sort_values(["a", "b", "_p", "jaccard"],
-                                ascending=[True, True, True, False]) \
-                   .drop_duplicates(["a", "b"], keep="first")
-        # return ARROW with explicit types: pandas-backed blocks would make
-        # downstream .schema() report numpy dtypes and break joins
-        return pa.table({
-            "a": pa.array(part["a"].to_numpy(dtype=np.int64)),
-            "b": pa.array(part["b"].to_numpy(dtype=np.int64)),
-            "kind": pa.array(part["kind"].astype(str), pa.string()),
-            "jaccard": pa.array(part["jaccard"].to_numpy(dtype=np.float64)),
-        })
+        part = part.append_column("_p", pc.index_in(part["kind"], prio)) \
+            .sort_by([("a", "ascending"), ("b", "ascending"),
+                      ("_p", "ascending"), ("jaccard", "descending")])
+        first = run_starts(part["a"]) | run_starts(part["b"])
+        return part.filter(first).drop_columns(["_p"])
 
     return exchange(list(edge_dss), [["a", "b"]] * len(edge_dss), best)
 

@@ -31,7 +31,6 @@ size. Nothing driver-side scales with the corpus — only with ``top``.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -45,18 +44,19 @@ def cluster_explain(res, top: int = 3, kmv_k: int | None = None,
     import ray
 
     from pcompress_ray.config import PipelineConfig
-    from pcompress_ray.functions.ops import (grouped_partitions, hash_join)
+    from pcompress_ray.functions.ops import (exchange, hash_join, run_ranks,
+                                             run_starts)
     from pcompress_ray.stages.verify import kmv_jaccard_many
 
     cfg_k = kmv_k if kmv_k is not None else PipelineConfig().kmv_k
 
-    def sizes(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("cluster_id", sort=True).size()
-        return pd.DataFrame({"cluster_id": g.index.to_numpy(np.int64),
-                             "n_members": g.to_numpy(np.int64)})
+    def sizes(part: pa.Table) -> pa.Table:
+        return part.group_by("cluster_id", use_threads=False) \
+            .aggregate([([], "count_all")]) \
+            .rename_columns(["cluster_id", "n_members"])
 
-    size_ds = grouped_partitions(
-        res.clusters.select_columns(["cluster_id"]), ["cluster_id"], sizes)
+    size_ds = exchange([res.clusters.select_columns(["cluster_id"])],
+                       [["cluster_id"]], sizes)
 
     def nonsingleton(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
@@ -88,13 +88,14 @@ def cluster_explain(res, top: int = 3, kmv_k: int | None = None,
         # deterministic per-cluster sample: canonical first, then the
         # member_cap - 1 smallest urls — one exchange, only paid when a
         # selected cluster is actually oversized
-        def cap_members(part: pd.DataFrame) -> pd.DataFrame:
-            part = part.sort_values(["is_canonical", "url"],
-                                    ascending=[False, True], kind="stable")
-            return part.groupby("cluster_id", group_keys=False,
-                                sort=False).head(member_cap)
+        def cap_members(part: pa.Table) -> pa.Table:
+            part = part.sort_by([("cluster_id", "ascending"),
+                                 ("is_canonical", "descending"),
+                                 ("url", "ascending")])
+            return part.filter(
+                run_ranks(run_starts(part["cluster_id"])) < member_cap)
 
-        members = grouped_partitions(members, ["cluster_id"], cap_members)
+        members = exchange([members], [["cluster_id"]], cap_members)
     members = members.materialize()
     with_kmv = hash_join(members,
                          res.signatures.select_columns(["url", "kmv"]),

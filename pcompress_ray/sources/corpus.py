@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -255,22 +254,6 @@ def make_corpus(n_docs: int, seed: int = 42, cfg: PipelineConfig | None = None,
         "is_canonical": pa.array(cluster == np.arange(n_docs)),
     })
     return pages, oracle_pairs, oracle_clusters
-
-
-def write_corpus(out_dir: str, n_docs: int, seed: int = 42,
-                 cfg: PipelineConfig | None = None, overwrite: bool = False) -> str:
-    """Write pages/oracle_pairs/oracle_clusters parquet; cached by content key."""
-    os.makedirs(out_dir, exist_ok=True)
-    marker = os.path.join(out_dir, f"_complete_{n_docs}_{seed}")
-    if os.path.exists(marker) and not overwrite:
-        return out_dir
-    pages, pairs, clusters = make_corpus(n_docs, seed, cfg)
-    pq.write_table(pages, os.path.join(out_dir, "pages.parquet"))
-    pq.write_table(pairs, os.path.join(out_dir, "oracle_pairs.parquet"))
-    pq.write_table(clusters, os.path.join(out_dir, "oracle_clusters.parquet"))
-    with open(marker, "w") as f:
-        f.write("ok")
-    return out_dir
 
 
 def write_bench_corpus(out_dir: str, n_docs: int, seed: int = 42,

@@ -596,7 +596,7 @@ def lsh_bucketed_pairs(emb_ds, threshold: float, dim: int,
     (low threshold / dense corpus) or when the participating-id store would
     not fit in aggregate plasma.
 
-    Both modes process buckets per hash PARTITION (grouped_partitions — one
+    Both modes process buckets per hash PARTITION (one ``exchange`` — one
     vectorized call per partition, not one Python call per bucket): size-2
     buckets (the common case) batched, larger buckets per-bucket. Oversized
     buckets (> bucket_cap) are NOT truncated: members are ordered by their
@@ -627,7 +627,7 @@ def lsh_bucketed_pairs(emb_ds, threshold: float, dim: int,
     if payload == "light":
         return _lsh_pairs_light(emb_ds, threshold, dim, id_col, emb_col,
                                 bucket_cap, n_tables, n_bits)
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     sig = emb_ds.select_columns([id_col, emb_col]).map_batches(
         HyperplaneLSH,
@@ -649,20 +649,16 @@ def lsh_bucketed_pairs(emb_ds, threshold: float, dim: int,
 
     proj_dir = np.random.default_rng(12345).standard_normal(dim)
 
-    def emit(part: pd.DataFrame) -> pd.DataFrame:
+    def emit(part: pa.Table) -> pa.Table:
         from pcompress_ray.functions.ops import group_boundaries
 
-        empty = pd.DataFrame({"vec_a": pd.Series(dtype=np.int64),
-                              "vec_b": pd.Series(dtype=np.int64),
-                              "cosine": pd.Series(dtype=np.float64)})
-        part = part.drop_duplicates(["bkey", id_col])
-        if len(part) < 2:
-            return empty
-        part = part.sort_values(["bkey", id_col])
-        keys = part["bkey"].to_numpy(dtype=np.uint64)
-        ids = part[id_col].to_numpy(dtype=np.int64)
+        part = part.group_by(["bkey", id_col], use_threads=False) \
+            .aggregate([("emb_f32", "first")]) \
+            .sort_by([("bkey", "ascending"), (id_col, "ascending")])
+        keys = part["bkey"].to_numpy().astype(np.uint64)
+        ids = part[id_col].to_numpy().astype(np.int64)
         E = _normalize(np.frombuffer(
-            b"".join(part["emb_f32"].tolist()),
+            b"".join(part["emb_f32_first"].to_pylist()),
             dtype=np.float32).astype(np.float64).reshape(len(part), dim))
         first, _, sizes = group_boundaries(keys)
         starts = np.flatnonzero(first)
@@ -692,25 +688,24 @@ def lsh_bucketed_pairs(emb_ds, threshold: float, dim: int,
                 for w0 in _window_starts(m, bucket_cap):
                     wi = slice(w0, min(w0 + bucket_cap, int(m)))
                     bucket_pairs(seg_ids[wi], Eseg[wi] @ Eseg[wi].T)
-        if not out_a:
-            return empty
-        a = np.concatenate(out_a); b = np.concatenate(out_b)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pd.DataFrame({"vec_a": lo.astype(np.int64),
-                             "vec_b": hi.astype(np.int64),
-                             "cosine": np.concatenate(out_c)}) \
-            .drop_duplicates(["vec_a", "vec_b"])
+        a = np.concatenate([np.empty(0, np.int64)] + out_a)
+        b = np.concatenate([np.empty(0, np.int64)] + out_b)
+        return pa.table({"vec_a": np.minimum(a, b), "vec_b": np.maximum(a, b),
+                         "cosine": np.concatenate([np.empty(0)] + out_c)}) \
+            .group_by(["vec_a", "vec_b"], use_threads=False) \
+            .aggregate([("cosine", "first")]) \
+            .rename_columns(["vec_a", "vec_b", "cosine"])
 
-    pairs = grouped_partitions(sig.map_batches(explode, batch_format="pyarrow"),
-                               ["bkey"], emit)
+    pairs = exchange([sig.map_batches(explode, batch_format="pyarrow")],
+                     [["bkey"]], emit)
 
-    # dedup across tables: partition-level pandas max (Ray's multi-key
-    # .aggregate() is per-group Python — unusable at pair cardinality)
-    def dedup(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby(["vec_a", "vec_b"], as_index=False, sort=False) \
-            .agg(cosine=("cosine", "max"))
+    # dedup across tables: per-partition max
+    def dedup(part: pa.Table) -> pa.Table:
+        return part.group_by(["vec_a", "vec_b"], use_threads=False) \
+            .aggregate([("cosine", "max")]) \
+            .rename_columns(["vec_a", "vec_b", "cosine"])
 
-    return grouped_partitions(pairs, ["vec_a", "vec_b"], dedup)
+    return exchange([pairs], [["vec_a", "vec_b"]], dedup)
 
 
 def _extract_emb_block(block, sorted_ids: np.ndarray,
@@ -742,8 +737,7 @@ def _lsh_pairs_light(emb_ds, threshold: float, dim: int, id_col: str,
     import ray
     import ray.data as rd
 
-    from pcompress_ray.functions.ops import (group_boundaries,
-                                             grouped_partitions,
+    from pcompress_ray.functions.ops import (exchange, group_boundaries,
                                              materialized_block_refs)
     from pcompress_ray.stages.verify import _participating_ids
 
@@ -776,16 +770,13 @@ def _lsh_pairs_light(emb_ds, threshold: float, dim: int, id_col: str,
             "proj": pa.array(proj, pa.float64()),
         })
 
-    def emit_candidates(part: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"a": pd.Series(dtype=np.int64),
-                              "b": pd.Series(dtype=np.int64)})
-        part = part.drop_duplicates(["bkey", "vid"])
-        if len(part) < 2:
-            return empty
-        part = part.sort_values(["bkey", "vid"])
-        keys = part["bkey"].to_numpy(dtype=np.uint64)
-        ids = part["vid"].to_numpy(dtype=np.int64)
-        proj = part["proj"].to_numpy(dtype=np.float64)
+    def emit_candidates(part: pa.Table) -> pa.Table:
+        part = part.group_by(["bkey", "vid"], use_threads=False) \
+            .aggregate([("proj", "first")]) \
+            .sort_by([("bkey", "ascending"), ("vid", "ascending")])
+        keys = part["bkey"].to_numpy().astype(np.uint64)
+        ids = part["vid"].to_numpy().astype(np.int64)
+        proj = part["proj_first"].to_numpy().astype(np.float64)
         first, _, sizes = group_boundaries(keys)
         starts = np.flatnonzero(first)
         out_a, out_b = [], []
@@ -805,15 +796,13 @@ def _lsh_pairs_light(emb_ds, threshold: float, dim: int, id_col: str,
                     wi = seg_ids[w0 : w0 + bucket_cap]
                     ai, bi = np.triu_indices(wi.size, k=1)
                     out_a.append(wi[ai]); out_b.append(wi[bi])
-        if not out_a:
-            return empty
-        a = np.concatenate(out_a); b = np.concatenate(out_b)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pd.DataFrame({"a": lo, "b": hi}).drop_duplicates(["a", "b"])
+        a = np.concatenate([np.empty(0, np.int64)] + out_a)
+        b = np.concatenate([np.empty(0, np.int64)] + out_b)
+        return pa.table({"a": np.minimum(a, b), "b": np.maximum(a, b)}) \
+            .group_by(["a", "b"], use_threads=False).aggregate([])
 
-    cand = grouped_partitions(
-        sig.map_batches(explode_light, batch_format="pyarrow"),
-        ["bkey"], emit_candidates).materialize()
+    cand = exchange([sig.map_batches(explode_light, batch_format="pyarrow")],
+                    [["bkey"]], emit_candidates).materialize()
 
     empty = pa.table({"vec_a": pa.array([], pa.int64()),
                       "vec_b": pa.array([], pa.int64()),
@@ -842,13 +831,9 @@ def _lsh_pairs_light(emb_ds, threshold: float, dim: int, id_col: str,
                          np.concatenate(blk_parts)[order],
                          np.concatenate(row_parts)[order]))
 
-    def verify(part: pd.DataFrame) -> pd.DataFrame:
-        vempty = pd.DataFrame({"vec_a": pd.Series(dtype=np.int64),
-                               "vec_b": pd.Series(dtype=np.int64),
-                               "cosine": pd.Series(dtype=np.float64)})
-        part = part.drop_duplicates(["a", "b"])  # cross-table dedup
-        if part.empty:
-            return vempty
+    def verify(part: pa.Table) -> pa.Table:
+        # cross-table dedup
+        part = part.group_by(["a", "b"], use_threads=False).aggregate([])
         ranks_, blk_, row_ = ray.get(index_ref)   # zero-copy plasma
         mats = ray.get(mat_refs)                  # zero-copy per block
 
@@ -861,14 +846,14 @@ def _lsh_pairs_light(emb_ds, threshold: float, dim: int, id_col: str,
                 E[m] = mats[bno][row[m]]
             return E
 
-        a = part["a"].to_numpy(dtype=np.int64)
-        b = part["b"].to_numpy(dtype=np.int64)
+        a = part["a"].to_numpy().astype(np.int64)
+        b = part["b"].to_numpy().astype(np.int64)
         cos = (gather(a) * gather(b)).sum(axis=1)
         keep = cos >= threshold
-        return pd.DataFrame({"vec_a": a[keep], "vec_b": b[keep],
-                             "cosine": cos[keep]})
+        return pa.table({"vec_a": a[keep], "vec_b": b[keep],
+                         "cosine": cos[keep]})
 
-    return grouped_partitions(cand, ["a", "b"], verify)
+    return exchange([cand], [["a", "b"]], verify)
 
 
 def kcenter_select(emb_ds, k: int = 8, seed_id: int | None = None,

@@ -34,8 +34,9 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from pcompress_ray.functions.ops import grouped_partitions
+from pcompress_ray.functions.ops import exchange
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -68,16 +69,18 @@ def word_vocab(docs_ds, max_words: int = 50_000, min_count: int = 1,
     its own partition — partitioning is by word, so all counts of a word
     co-locate before the cut)."""
 
-    def reduce_part(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("word", sort=False)["cnt"].sum().reset_index()
-        g = g[g["cnt"] >= min_count]
-        g = g.sort_values(["cnt", "word"], ascending=[False, True],
-                          kind="stable").head(max_words)
-        return g
+    def reduce_part(part: pa.Table) -> pa.Table:
+        g = part.group_by("word", use_threads=False) \
+            .aggregate([("cnt", "sum")]).rename_columns(["word", "cnt"])
+        return g.filter(pc.greater_equal(g["cnt"], min_count)) \
+            .sort_by([("cnt", "descending"), ("word", "ascending")]) \
+            .slice(0, max_words)
 
     partials = docs_ds.map_batches(batch_word_counts, batch_format="pyarrow")
-    vocab = grouped_partitions(partials, ["word"], reduce_part,
-                               n_parts=n_parts).to_pandas()
+    # materialized first: to_pandas over the bare exchange output would
+    # launch one more Ray Data execution over blocks that already exist
+    vocab = exchange([partials], [["word"]], reduce_part,
+                     n_parts=n_parts).materialize().to_pandas()
     vocab = vocab.sort_values(["cnt", "word"], ascending=[False, True],
                               kind="stable").head(max_words)
     return vocab.reset_index(drop=True)

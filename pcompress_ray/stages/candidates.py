@@ -20,7 +20,6 @@ Skew handling (SURVEY §4 "Skew" — explicit design):
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from pcompress_ray.config import PipelineConfig
@@ -99,26 +98,20 @@ def band_partition_pairs(cfg: PipelineConfig):
     vectorized over the (dominant) singleton and size-2 buckets; Python only
     for buckets of size ≥3 (rare)."""
 
-    def emit(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop_duplicates(["band_id", "band_hash", "rank"]) \
-                   .sort_values(["band_id", "band_hash", "rank"])
-        from pcompress_ray.functions.ops import group_boundaries
+    def emit(part: pa.Table) -> pa.Table:
+        from pcompress_ray.functions.ops import run_starts
 
-        # combined bucket key: band_id ⊕-mixed band_hash (collision-safe for
-        # grouping within one partition via lexicographic sort on both)
-        bh = part["band_hash"].to_numpy(dtype=np.uint64)
-        bid = part["band_id"].to_numpy(dtype=np.int64).astype(np.uint64)
-        # part is sorted by (band_id, band_hash); boundaries from the actual
-        # column pair (collision-proof, no mixing needed here)
-        n = len(part)
-        first = np.empty(n, dtype=bool)
-        if n:
-            first[0] = True
-            first[1:] = (bid[1:] != bid[:-1]) | (bh[1:] != bh[:-1])
-        gid = np.cumsum(first) - 1 if n else np.zeros(0, np.int64)
+        part = part.sort_by([(c, "ascending")
+                             for c in ("band_id", "band_hash", "rank")])
+        # bucket boundaries from the actual column pair (collision-proof,
+        # no mixing needed), and a repeated (bucket, rank) row counts once
+        new_bucket = run_starts(part["band_id"]) | run_starts(part["band_hash"])
+        uniq = new_bucket | run_starts(part["rank"])
+        first = new_bucket[uniq]
+        r = part["rank"].to_numpy().astype(np.int64)[uniq]
+        n = r.size
         starts = np.flatnonzero(first)
         sizes = np.diff(np.append(starts, n))
-        r = part["rank"].to_numpy(dtype=np.int64)
 
         out_a, out_b = [], []
         # size-2 buckets vectorized: rows where group size==2
@@ -134,13 +127,9 @@ def band_partition_pairs(cfg: PipelineConfig):
             else:
                 aa, bb = _salted_pairs(rs, cfg)
             out_a.append(aa); out_b.append(bb)
-        if not out_a:
-            return pd.DataFrame({"a": np.empty(0, np.int64),
-                                 "b": np.empty(0, np.int64)})
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pd.DataFrame({"a": lo.astype(np.int64), "b": hi.astype(np.int64)})
+        a = np.concatenate([np.empty(0, np.int64)] + out_a)
+        b = np.concatenate([np.empty(0, np.int64)] + out_b)
+        return pa.table({"a": np.minimum(a, b), "b": np.maximum(a, b)})
 
     return emit
 
@@ -155,7 +144,7 @@ def simhash_candidates(sig_ds, cfg: PipelineConfig):
     level. Complements MinHash: SimHash catches small absolute edits on
     near-identical docs.
     """
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    from pcompress_ray.functions.ops import exchange, group_boundaries
     from pcompress_ray.hashing import hamming64
 
     def explode(t: pa.Table) -> pa.Table:
@@ -178,16 +167,19 @@ def simhash_candidates(sig_ds, cfg: PipelineConfig):
     max_d = cfg.simhash_hamming_threshold
     cap = cfg.bucket_cap
 
-    def emit(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop_duplicates(["band_id", "band_val", "rank"]) \
-                   .sort_values(["band_id", "band_val", "rank"])
-        bid = part["band_id"].to_numpy(dtype=np.int64)
-        bv = part["band_val"].to_numpy(dtype=np.uint64)
-        key = (bid.astype(np.uint64) << np.uint64(16)) | bv
+    def emit(part: pa.Table) -> pa.Table:
+        part = part.sort_by([(c, "ascending")
+                             for c in ("band_id", "band_val", "rank")])
+        bid = part["band_id"].to_numpy().astype(np.uint64)
+        bv = part["band_val"].to_numpy().astype(np.uint64)
+        key = (bid << np.uint64(16)) | bv
+        r = part["rank"].to_numpy().astype(np.int64)
+        uniq = np.ones(r.size, dtype=bool)  # a (band, rank) row counts once
+        uniq[1:] = (key[1:] != key[:-1]) | (r[1:] != r[:-1])
+        key, r = key[uniq], r[uniq]
+        sh = part["simhash"].to_numpy().astype(np.uint64)[uniq]
         first, gid, sizes = group_boundaries(key)
         starts = np.flatnonzero(first)
-        r = part["rank"].to_numpy(dtype=np.int64)
-        sh = part["simhash"].to_numpy(dtype=np.uint64)
         out_a, out_b = [], []
 
         def ham_pairs(rs, ss):
@@ -212,21 +204,17 @@ def simhash_candidates(sig_ds, cfg: PipelineConfig):
                 for w0 in range(0, int(m) - 1, step):
                     wi = slice(w0, min(w0 + cap, int(m)))
                     ham_pairs(rs_o[wi], ss_o[wi])
-        if not out_a:
-            return pd.DataFrame({"a": np.empty(0, np.int64),
-                                 "b": np.empty(0, np.int64)})
-        a = np.concatenate(out_a); b = np.concatenate(out_b)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pd.DataFrame({"a": lo, "b": hi}).drop_duplicates()
+        a = np.concatenate([np.empty(0, np.int64)] + out_a)
+        b = np.concatenate([np.empty(0, np.int64)] + out_b)
+        return dedup(pa.table({"a": np.minimum(a, b), "b": np.maximum(a, b)}))
 
-    pairs = grouped_partitions(sig_ds.select_columns(["rank", "simhash", "n_shingles"])
-                               .map_batches(explode, batch_format="pyarrow"),
-                               ["band_id", "band_val"], emit)
+    def dedup(part: pa.Table) -> pa.Table:
+        return part.group_by(["a", "b"], use_threads=False).aggregate([])
 
-    def dedup(part: pd.DataFrame) -> pd.DataFrame:
-        return part.drop_duplicates(["a", "b"]).astype({"a": np.int64, "b": np.int64})
-
-    return grouped_partitions(pairs, ["a", "b"], dedup)
+    pairs = exchange([sig_ds.select_columns(["rank", "simhash", "n_shingles"])
+                      .map_batches(explode, batch_format="pyarrow")],
+                     [["band_id", "band_val"]], emit)
+    return exchange([pairs], [["a", "b"]], dedup)
 
 
 def ngram_jaccard_pairs(docs_ds, k: int = 5, threshold: float = 0.5,
@@ -258,7 +246,7 @@ def ngram_jaccard_pairs(docs_ds, k: int = 5, threshold: float = 0.5,
     the counts are exact integers, the score a raw float64 division (the
     SQL oracle reproduces all of them bit-for-bit).
     """
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    from pcompress_ray.functions.ops import exchange, group_boundaries
     from pcompress_ray.hashing import hash_strings, shingle_hashes
     from pcompress_ray.stages.textstats import _FP_RE
 
@@ -284,11 +272,14 @@ def ngram_jaccard_pairs(docs_ds, k: int = 5, threshold: float = 0.5,
 
     docs = docs_ds.select_columns([id_col, text_col])
 
-    def co_pairs(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop_duplicates(["sh", id_col]).sort_values(["sh", id_col])
-        sh = part["sh"].to_numpy(dtype=np.uint64)
-        ids = part[id_col].to_numpy(dtype=np.int64)
-        nsh = part["n_sh"].to_numpy(dtype=np.int64)
+    def co_pairs(part: pa.Table) -> pa.Table:
+        part = part.sort_by([("sh", "ascending"), (id_col, "ascending")])
+        sh = part["sh"].to_numpy().astype(np.uint64)
+        ids = part[id_col].to_numpy().astype(np.int64)
+        uniq = np.ones(sh.size, dtype=bool)  # a (shingle, doc) row once
+        uniq[1:] = (sh[1:] != sh[:-1]) | (ids[1:] != ids[:-1])
+        sh, ids = sh[uniq], ids[uniq]
+        nsh = part["n_sh"].to_numpy().astype(np.int64)[uniq]
         first, _, sizes_ = group_boundaries(sh)
         starts = np.flatnonzero(first)
         out_a, out_b, out_sa, out_sb = [], [], [], []
@@ -301,54 +292,42 @@ def ngram_jaccard_pairs(docs_ds, k: int = 5, threshold: float = 0.5,
             ai, bi = np.triu_indices(int(m), k=1)
             out_a.append(ids[seg][ai]); out_b.append(ids[seg][bi])
             out_sa.append(nsh[seg][ai]); out_sb.append(nsh[seg][bi])
-        if not out_a:
-            return pd.DataFrame({"a": pd.Series(dtype=np.int64),
-                                 "b": pd.Series(dtype=np.int64),
-                                 "inter": pd.Series(dtype=np.int64),
-                                 "sa": pd.Series(dtype=np.int64),
-                                 "sb": pd.Series(dtype=np.int64)})
         # map-side combine: per-partition pair counts; the set sizes ride
         # along (constant per doc, so 'first' is exact)
-        df = pd.DataFrame({"a": np.concatenate(out_a),
-                           "b": np.concatenate(out_b),
-                           "sa": np.concatenate(out_sa),
-                           "sb": np.concatenate(out_sb)})
-        out = df.groupby(["a", "b"], as_index=False, sort=False).agg(
-            inter=("sa", "size"), sa=("sa", "first"), sb=("sb", "first"))
-        return out.astype(np.int64)
+        empty = [np.empty(0, np.int64)]
+        return pa.table({"a": np.concatenate(empty + out_a),
+                         "b": np.concatenate(empty + out_b),
+                         "sa": np.concatenate(empty + out_sa),
+                         "sb": np.concatenate(empty + out_sb)}) \
+            .group_by(["a", "b"], use_threads=False) \
+            .aggregate([("sa", "count"), ("sa", "first"), ("sb", "first")]) \
+            .rename_columns(["a", "b", "inter", "sa", "sb"])
 
-    pairs = grouped_partitions(
-        docs.map_batches(explode, batch_format="pyarrow"), ["sh"], co_pairs,
-        n_parts=n_parts)
+    pairs = exchange([docs.map_batches(explode, batch_format="pyarrow")],
+                     [["sh"]], co_pairs, n_parts=n_parts)
 
     if score not in ("jaccard", "containment"):
         raise ValueError(f"score must be jaccard|containment, got {score!r}")
     denom_col = "union_sz" if score == "jaccard" else "min_sz"
     score_col = "jaccard" if score == "jaccard" else "containment"
 
-    def reduce_pairs(part: pd.DataFrame) -> pd.DataFrame:
-        if len(part) == 0:
-            return pd.DataFrame({"doc_a": pd.Series(dtype=np.int64),
-                                 "doc_b": pd.Series(dtype=np.int64),
-                                 "inter": pd.Series(dtype=np.int64),
-                                 denom_col: pd.Series(dtype=np.int64),
-                                 score_col: pd.Series(dtype=np.float64)})
-        agg = part.groupby(["a", "b"], as_index=False, sort=False).agg(
-            inter=("inter", "sum"), sa=("sa", "first"), sb=("sb", "first"))
-        sa = agg["sa"].to_numpy(dtype=np.int64)
-        sb = agg["sb"].to_numpy(dtype=np.int64)
-        inter = agg["inter"].to_numpy(dtype=np.int64)
+    def reduce_pairs(part: pa.Table) -> pa.Table:
+        agg = part.group_by(["a", "b"], use_threads=False).aggregate(
+            [("inter", "sum"), ("sa", "first"), ("sb", "first")])
+        sa = agg["sa_first"].to_numpy()
+        sb = agg["sb_first"].to_numpy()
+        inter = agg["inter_sum"].to_numpy()
         denom = (sa + sb - inter) if score == "jaccard" else np.minimum(sa, sb)
         val = inter / denom
         keep = val >= threshold
-        return pd.DataFrame({
-            "doc_a": agg["a"].to_numpy(dtype=np.int64)[keep],
-            "doc_b": agg["b"].to_numpy(dtype=np.int64)[keep],
+        return pa.table({
+            "doc_a": agg["a"].to_numpy()[keep],
+            "doc_b": agg["b"].to_numpy()[keep],
             "inter": inter[keep],
-            denom_col: denom[keep].astype(np.int64),
+            denom_col: denom[keep],
             score_col: val[keep]})
 
-    return grouped_partitions(pairs, ["a", "b"], reduce_pairs, n_parts=n_parts)
+    return exchange([pairs], [["a", "b"]], reduce_pairs, n_parts=n_parts)
 
 
 def band_key(band_ids: np.ndarray, band_hashes: np.ndarray) -> np.ndarray:
@@ -366,7 +345,7 @@ def lsh_candidates(sig_ds, cfg: PipelineConfig, prefilter_bands=None):
     keeps its FULL membership, so its pair output is identical to a full
     recompute of that bucket.
     """
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     bands = explode_bands(sig_ds)
     if prefilter_bands is not None:
@@ -387,21 +366,16 @@ def lsh_candidates(sig_ds, cfg: PipelineConfig, prefilter_bands=None):
 
         bands = bands.map_batches(filt, batch_format="pyarrow")
 
-    from pcompress_ray.functions.ops import fast_grouped_partitions
+    pairs = exchange([bands], [["band_id", "band_hash"]],
+                     band_partition_pairs(cfg))
 
-    pairs = fast_grouped_partitions(bands,
-                                    ["band_id", "band_hash"],
-                                    band_partition_pairs(cfg))
+    # dedup across bands (a pair can collide in up to lsh_bands bands)
+    def dedup(part: pa.Table) -> pa.Table:
+        return part.group_by(["a", "b"], use_threads=False) \
+            .aggregate([([], "count_all")]) \
+            .rename_columns(["a", "b", "n_bands"])
 
-    # dedup across bands (a pair can collide in up to lsh_bands bands) —
-    # partition-level pandas value_counts (Ray's multi-key .aggregate() is
-    # per-group Python: ~0.25 ms/key, unusable at this cardinality)
-    def dedup(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(["a", "b"], as_index=False, sort=False).size()
-        return out.rename(columns={"size": "n_bands"}).astype(
-            {"a": np.int64, "b": np.int64, "n_bands": np.int64})
-
-    return fast_grouped_partitions(pairs, ["a", "b"], dedup)
+    return exchange([pairs], [["a", "b"]], dedup)
 
 
 def md5_simhash(docs_ds, id_col: str = "doc_id", text_col: str = "text"):

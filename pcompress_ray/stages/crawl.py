@@ -15,32 +15,18 @@ partitioned Parquet, one file per fetch_round range if desired.
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
+import pyarrow as pa
 
 
 def crawl_schedule(ds, host_col: str = "host", order_col: str = "doc_id",
                    per_round: int = 4, n_parts: int = 32):
     """Dataset with (host, order) -> adds (fetch_round, slot) per row."""
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange, run_ranks, run_starts
 
-    def assign(part: pd.DataFrame) -> pd.DataFrame:
-        if not len(part):
-            out = part.copy()
-            out["fetch_round"] = pd.Series([], dtype=np.int64)
-            out["slot"] = pd.Series([], dtype=np.int64)
-            return out
-        part = part.sort_values([host_col, order_col],
-                                kind="stable").reset_index(drop=True)
-        h = part[host_col].to_numpy()
-        first = np.empty(len(part), bool)
-        first[0] = True
-        first[1:] = h[1:] != h[:-1]
-        starts = np.flatnonzero(first)
-        sizes = np.diff(np.append(starts, len(part)))
-        rank = np.arange(len(part), dtype=np.int64) - np.repeat(starts, sizes)
-        part["fetch_round"] = rank // per_round
-        part["slot"] = rank % per_round
-        return part
+    def assign(part: pa.Table) -> pa.Table:
+        part = part.sort_by([(host_col, "ascending"), (order_col, "ascending")])
+        rank = run_ranks(run_starts(part[host_col]))
+        return part.append_column("fetch_round", pa.array(rank // per_round)) \
+            .append_column("slot", pa.array(rank % per_round))
 
-    return grouped_partitions(ds, [host_col], assign, n_parts=n_parts)
+    return exchange([ds], [[host_col]], assign, n_parts=n_parts)

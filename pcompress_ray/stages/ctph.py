@@ -21,7 +21,6 @@ the MinHash/SimHash candidate paths in stages/candidates.py.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from pcompress_ray.hashing import splitmix64
@@ -385,7 +384,7 @@ def ctph_candidate_pairs(sig_ds, min_score: int = 60, n_parts: int = 32):
     keeps its shape at any corpus size — no digest table ever lands on
     the driver.
     """
-    from pcompress_ray.functions.ops import exchange, fast_grouped_partitions
+    from pcompress_ray.functions.ops import exchange, group_boundaries
 
     sig_cols = ["doc_id", "digest", "digest2", "blocksize"]
     sigs = sig_ds.select_columns(sig_cols).materialize()
@@ -399,61 +398,46 @@ def ctph_candidate_pairs(sig_ds, min_score: int = 60, n_parts: int = 32):
         return pa.table({"gram": pa.array(np.concatenate([k1, k2])),
                          "doc_id": pa.array(np.concatenate([i1, i2]))})
 
-    def bucket_pairs(part: pd.DataFrame) -> pd.DataFrame:
-        if not len(part):
-            return pd.DataFrame({"a": pd.Series([], dtype=np.int64),
-                                 "b": pd.Series([], dtype=np.int64)})
-        part = part.drop_duplicates(["gram", "doc_id"]) \
-            .sort_values(["gram", "doc_id"], kind="stable")
-        g = part["gram"].to_numpy()
-        ids = part["doc_id"].to_numpy(np.int64)
-        first = np.empty(len(part), bool)
-        first[0] = True
-        first[1:] = g[1:] != g[:-1]
-        starts = np.flatnonzero(first)
-        sizes = np.diff(np.append(starts, len(part)))
-        out_a, out_b = [], []
-        for s, m in zip(starts, sizes):
+    def bucket_pairs(part: pa.Table) -> pa.Table:
+        part = part.group_by(["gram", "doc_id"], use_threads=False) \
+            .aggregate([]).sort_by([("gram", "ascending"),
+                                    ("doc_id", "ascending")])
+        first, _, sizes = group_boundaries(part["gram"].to_numpy())
+        ids = part["doc_id"].to_numpy()
+        out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for s, m in zip(np.flatnonzero(first), sizes):
             if m < 2:
                 continue
             seg = ids[s:s + int(m)]
             ai, bi = np.triu_indices(int(m), k=1)
             out_a.append(seg[ai])
             out_b.append(seg[bi])
-        if not out_a:
-            return pd.DataFrame({"a": pd.Series([], dtype=np.int64),
-                                 "b": pd.Series([], dtype=np.int64)})
-        df = pd.DataFrame({"a": np.concatenate(out_a),
-                           "b": np.concatenate(out_b)})
-        return df.drop_duplicates()
+        return pa.table({"a": np.concatenate(out_a),
+                         "b": np.concatenate(out_b)}) \
+            .group_by(["a", "b"], use_threads=False).aggregate([])
 
-    cands = fast_grouped_partitions(
-        sigs.map_batches(explode, batch_format="pyarrow"),
-        ["gram"], bucket_pairs, n_parts=n_parts)
+    cands = exchange([sigs.map_batches(explode, batch_format="pyarrow")],
+                     [["gram"]], bucket_pairs, n_parts=n_parts)
 
-    def attach_a(pairs: pa.Table, s: pa.Table) -> pd.DataFrame:
+    def attach_a(pairs: pa.Table, s: pa.Table) -> pa.Table:
         # every copy of (a, b) has key a
-        p = pairs.select(["a", "b"]).to_pandas().drop_duplicates()
-        m = p.merge(s.to_pandas(), left_on="a", right_on="doc_id")
-        return pd.DataFrame({"a": m["a"].to_numpy(np.int64),
-                             "b": m["b"].to_numpy(np.int64),
-                             "d1a": m["digest"].to_numpy(),
-                             "d2a": m["digest2"].to_numpy(),
-                             "bsa": m["blocksize"].to_numpy(np.int64)})
+        p = pairs.group_by(["a", "b"], use_threads=False).aggregate([])
+        return p.join(s, keys="a", right_keys="doc_id") \
+            .select(["a", "b", "digest", "digest2", "blocksize"]) \
+            .rename_columns(["a", "b", "d1a", "d2a", "bsa"])
 
     def attach_b_score(mid: pa.Table, s: pa.Table) -> pa.Table:
-        m = mid.to_pandas().merge(s.to_pandas(),
-                                  left_on="b", right_on="doc_id")
+        m = mid.join(s, keys="b", right_keys="doc_id")
         sc, scale = ctph_compare_batch(
-            m["bsa"].to_numpy(np.int64), m["d1a"].tolist(),
-            m["d2a"].tolist(), m["blocksize"].to_numpy(np.int64),
-            m["digest"].tolist(), m["digest2"].tolist())
+            m["bsa"].to_numpy().astype(np.int64), m["d1a"].to_pylist(),
+            m["d2a"].to_pylist(), m["blocksize"].to_numpy().astype(np.int64),
+            m["digest"].to_pylist(), m["digest2"].to_pylist())
         keep = sc >= min_score
         return pa.table({
-            "doc_a": pa.array(m["a"].to_numpy(np.int64)[keep]),
-            "doc_b": pa.array(m["b"].to_numpy(np.int64)[keep]),
-            "blocksize": pa.array(np.asarray(scale, np.int64)[keep]),
-            "score": pa.array(np.asarray(sc, np.int64)[keep])})
+            "doc_a": m["a"].to_numpy().astype(np.int64)[keep],
+            "doc_b": m["b"].to_numpy().astype(np.int64)[keep],
+            "blocksize": np.asarray(scale, np.int64)[keep],
+            "score": np.asarray(sc, np.int64)[keep]})
 
     mid = exchange([cands, sigs], [["a"], ["doc_id"]], attach_a,
                    n_parts=n_parts)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from pcompress_ray.config import PipelineConfig
@@ -253,7 +252,7 @@ def _members_broadcast_path(members, texts, cfg, text_col, carry_url,
     """
     import ray
 
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     mdf = members.to_pandas()
     m_ranks = mdf["rank"].to_numpy(dtype=np.int64)
@@ -310,16 +309,13 @@ def _members_broadcast_path(members, texts, cfg, text_col, carry_url,
     rows = texts.map_batches(emit, batch_format="pyarrow",
                              batch_size=cfg.batch_size)
 
-    def pair_encode(part: pd.DataFrame) -> pa.Table:
-        if len(part) == 0:
-            return _encode_rows([], [], [], [], [] if carry_url else None,
-                                max_delta_ratio, min_block, max_block)
-        part = part.sort_values(["pair", "side"])
-        pr = part["pair"].to_numpy(dtype=np.int64)
-        sd = part["side"].to_numpy(dtype=np.int8)
-        br = part["base_rank"].to_numpy(dtype=np.int64)
-        tx = part["text"].tolist()
-        ur = part["url"].tolist()
+    def pair_encode(part: pa.Table) -> pa.Table:
+        part = part.sort_by([("pair", "ascending"), ("side", "ascending")])
+        pr = part["pair"].to_numpy()
+        sd = part["side"].to_numpy()
+        br = part["base_rank"].to_numpy()
+        tx = part["text"].to_pylist()
+        ur = part["url"].to_pylist()
         first = np.ones(pr.size, dtype=bool)
         first[1:] = pr[1:] != pr[:-1]
         starts = np.flatnonzero(first)
@@ -334,4 +330,4 @@ def _members_broadcast_path(members, texts, cfg, text_col, carry_url,
                             urls if carry_url else None,
                             max_delta_ratio, min_block, max_block)
 
-    return grouped_partitions(rows, ["pair"], pair_encode)
+    return exchange([rows], [["pair"]], pair_encode)

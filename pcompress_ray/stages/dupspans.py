@@ -44,16 +44,15 @@ engine == brute force on planted overlaps and broadcast == shuffle paths.
 (far below positions for natural text); the broadcast set is the only
 driver-resident object and is guarded by ``broadcast_limit`` with the
 semi-join fallback taking over beyond it; every stage is map_batches /
-grouped_partitions with backpressure, nothing materializes the corpus.
+``exchange`` with backpressure, nothing materializes the corpus.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from pcompress_ray.functions.ops import exchange, grouped_partitions
+from pcompress_ray.functions.ops import exchange, group_boundaries
 from pcompress_ray.hashing import splitmix64
 from pcompress_ray.stages.suffix import _inv_u64, _powers
 
@@ -138,33 +137,27 @@ def _pair_boundaries(h1: np.ndarray, h2: np.ndarray):
     discovery); every reducer here uses this instead."""
     order = np.lexsort((h2, h1))
     a, b = h1[order], h2[order]
-    first = np.empty(a.size, dtype=bool)
-    first[0] = True
+    first = np.ones(a.size, dtype=bool)
     first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
     return order, np.flatnonzero(first)
 
 
-def _reduce_dup_keys(part: pd.DataFrame) -> pd.DataFrame:
+def _reduce_dup_keys(part: pa.Table) -> pa.Table:
     """Per-partition: sum partial counts, keep keys with corpus count >= 2."""
-    h1 = part["h1"].to_numpy(np.uint64)
-    h2 = part["h2"].to_numpy(np.uint64)
-    if h1.size == 0:
-        return pd.DataFrame({"h1": np.empty(0, np.uint64),
-                             "h2": np.empty(0, np.uint64)})
-    cnt = part["cnt"].to_numpy(np.int64)
+    h1 = part["h1"].to_numpy()
+    h2 = part["h2"].to_numpy()
     order, starts = _pair_boundaries(h1, h2)
-    tot = np.add.reduceat(cnt[order], starts)
+    tot = np.add.reduceat(part["cnt"].to_numpy()[order], starts)
     keep = tot >= 2
-    return pd.DataFrame({"h1": h1[order][starts][keep],
-                         "h2": h2[order][starts][keep]})
+    return pa.table({"h1": h1[order][starts][keep],
+                     "h2": h2[order][starts][keep]})
 
 
 def discover_dup_keys(docs_ds, L: int, n_parts: int = 64):
     """Dataset of (h1,h2) gram keys occurring >= 2 times corpus-wide."""
     partials = docs_ds.map_batches(lambda t: partial_gram_counts(t, L),
                                    batch_format="pyarrow")
-    return grouped_partitions(partials, ["h1"], _reduce_dup_keys,
-                              n_parts=n_parts)
+    return exchange([partials], [["h1"]], _reduce_dup_keys, n_parts=n_parts)
 
 
 def _coverage_from_offsets(offs: np.ndarray, L: int):
@@ -265,31 +258,24 @@ def _positions(L: int):
     return f
 
 
-def _semi_join_positions(pos: pa.Table, keys: pa.Table) -> pd.DataFrame:
+def _semi_join_positions(pos: pa.Table, keys: pa.Table) -> pa.Table:
     """Per-partition semi-join: keep positions whose (h1,h2) appears among
     the keys.  Both inputs of any key co-locate (partitioned on h1)."""
-    if not len(keys) or not len(pos):
-        return pd.DataFrame({"doc_id": np.empty(0, np.int64),
-                             "off": np.empty(0, np.int64)})
-    hit = pos.to_pandas().merge(
-        keys.select(["h1", "h2"]).to_pandas().drop_duplicates(),
-        on=["h1", "h2"])
-    return pd.DataFrame({"doc_id": hit["doc_id"].to_numpy(np.int64),
-                         "off": hit["off"].to_numpy(np.int64)})
+    return pos.join(keys.select(["h1", "h2"]), keys=["h1", "h2"],
+                    join_type="left semi").select(["doc_id", "off"])
 
 
-def _coverage_partition(part: pd.DataFrame, L: int) -> pd.DataFrame:
+def _coverage_partition(part: pa.Table, L: int) -> pa.Table:
     """Per-partition (doc_id-keyed) island merge — fully vectorized across
     the partition's docs."""
-    part = part.sort_values(["doc_id", "off"], kind="stable")
-    d = part["doc_id"].to_numpy(np.int64)
-    o = part["off"].to_numpy(np.int64)
+    part = part.sort_by([("doc_id", "ascending"), ("off", "ascending")])
+    d = part["doc_id"].to_numpy()
+    o = part["off"].to_numpy()
     n = d.size
     if n == 0:
-        return pd.DataFrame({c: np.empty(0, np.int64) for c in
-                             ("doc_id", "dup_starts", "n_spans", "dup_chars")})
-    newdoc = np.empty(n, dtype=bool)
-    newdoc[0] = True
+        return pa.table({c: np.empty(0, np.int64) for c in
+                         ("doc_id", "dup_starts", "n_spans", "dup_chars")})
+    newdoc = np.ones(n, dtype=bool)
     newdoc[1:] = d[1:] != d[:-1]
     brk = newdoc.copy()
     brk[1:] |= (o[1:] - o[:-1]) > L
@@ -303,10 +289,10 @@ def _coverage_partition(part: pd.DataFrame, L: int) -> pd.DataFrame:
     isl_doc_first = np.searchsorted(isl_start, doc_start)
     n_spans = np.diff(np.append(isl_doc_first, isl_start.size))
     dup_chars = np.add.reduceat(isl_len, isl_doc_first)
-    return pd.DataFrame({"doc_id": d[doc_start],
-                         "dup_starts": dup_starts.astype(np.int64),
-                         "n_spans": n_spans.astype(np.int64),
-                         "dup_chars": dup_chars.astype(np.int64)})
+    return pa.table({"doc_id": d[doc_start],
+                     "dup_starts": dup_starts.astype(np.int64),
+                     "n_spans": n_spans.astype(np.int64),
+                     "dup_chars": dup_chars.astype(np.int64)})
 
 
 def dup_span_stats(docs_ds, L: int = 16, n_parts: int = 64,
@@ -350,9 +336,8 @@ def dup_span_stats(docs_ds, L: int = 16, n_parts: int = 64,
     pos = docs_ds.map_batches(_positions(L), batch_format="pyarrow")
     marked = exchange([pos, dup], [["h1"], ["h1"]], _semi_join_positions,
                       n_parts=n_parts)
-    return grouped_partitions(marked, ["doc_id"],
-                              lambda p: _coverage_partition(p, L),
-                              n_parts=n_parts)
+    return exchange([marked], [["doc_id"]],
+                    lambda p: _coverage_partition(p, L), n_parts=n_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -391,22 +376,16 @@ def partial_gram_stats(t: pa.Table, L: int) -> pa.Table:
     return pa.table({"h1": a[starts], "h2": b[starts], "cnt": cnt, "mn": mn})
 
 
-def _reduce_dup_stats(part: pd.DataFrame) -> pd.DataFrame:
-    h1 = part["h1"].to_numpy(np.uint64)
-    h2 = part["h2"].to_numpy(np.uint64)
-    if h1.size == 0:
-        return pd.DataFrame({"h1": np.empty(0, np.uint64),
-                             "h2": np.empty(0, np.uint64),
-                             "mn": np.empty(0, np.int64)})
-    cnt = part["cnt"].to_numpy(np.int64)
-    mn = part["mn"].to_numpy(np.int64)
+def _reduce_dup_stats(part: pa.Table) -> pa.Table:
+    h1 = part["h1"].to_numpy()
+    h2 = part["h2"].to_numpy()
     order, starts = _pair_boundaries(h1, h2)
-    tot = np.add.reduceat(cnt[order], starts)
-    mns = np.minimum.reduceat(mn[order], starts)
+    tot = np.add.reduceat(part["cnt"].to_numpy()[order], starts)
+    mns = np.minimum.reduceat(part["mn"].to_numpy()[order], starts)
     keep = tot >= 2
-    return pd.DataFrame({"h1": h1[order][starts][keep],
-                         "h2": h2[order][starts][keep],
-                         "mn": mns[keep]})
+    return pa.table({"h1": h1[order][starts][keep],
+                     "h2": h2[order][starts][keep],
+                     "mn": mns[keep]})
 
 
 def splice_out(text: str, offs: np.ndarray, L: int) -> str:
@@ -479,8 +458,8 @@ def dup_span_excise(docs_ds, L: int = 16, n_parts: int = 64,
 
     partials = docs_ds.map_batches(lambda t: partial_gram_stats(t, L),
                                    batch_format="pyarrow")
-    dup = grouped_partitions(partials, ["h1"], _reduce_dup_stats,
-                             n_parts=n_parts).materialize()
+    dup = exchange([partials], [["h1"]], _reduce_dup_stats,
+                   n_parts=n_parts).materialize()
 
     if dup.count() <= broadcast_limit:
         df = dup.to_pandas()
@@ -497,16 +476,13 @@ def dup_span_excise(docs_ds, L: int = 16, n_parts: int = 64,
 
         return docs_ds.map_batches(excise, batch_format="pyarrow")
 
-    def semi(pos: pa.Table, keys: pa.Table) -> pd.DataFrame:
-        if not len(keys) or not len(pos):
-            return pd.DataFrame({"doc_id": np.empty(0, np.int64),
-                                 "off": np.empty(0, np.int64)})
-        hit = pos.to_pandas().merge(
-            keys.select(["h1", "h2", "mn"]).to_pandas(), on=["h1", "h2"])
-        d = hit["doc_id"].to_numpy(np.int64)
-        o = hit["off"].to_numpy(np.int64)
-        keep = _packed_pos(d, o) > hit["mn"].to_numpy(np.int64)
-        return pd.DataFrame({"doc_id": d[keep], "off": o[keep]})
+    def semi(pos: pa.Table, keys: pa.Table) -> pa.Table:
+        hit = pos.join(keys.select(["h1", "h2", "mn"]), keys=["h1", "h2"],
+                       join_type="inner")
+        d = hit["doc_id"].to_numpy()
+        o = hit["off"].to_numpy()
+        keep = _packed_pos(d, o) > hit["mn"].to_numpy()
+        return pa.table({"doc_id": d[keep], "off": o[keep]})
 
     pos = docs_ds.map_batches(_positions(L), batch_format="pyarrow")
     removable = exchange([pos, dup], [["h1"], ["h1"]], semi, n_parts=n_parts)
@@ -519,10 +495,12 @@ def _splice_exchange(docs_ds, removable_ds, L: int, n_parts: int):
     docs.  Shared by dup_span_excise and cross_span_excise so the splice
     semantics (island merge at gap<=L) live in ONE place."""
 
-    def splice_part(docs: pa.Table, rem: pa.Table) -> pd.DataFrame:
-        rem = rem.to_pandas().sort_values(["doc_id", "off"], kind="stable")
-        by_doc = {k: v["off"].to_numpy(np.int64)
-                  for k, v in rem.groupby("doc_id", sort=False)}
+    def splice_part(docs: pa.Table, rem: pa.Table) -> pa.Table:
+        rem = rem.sort_by([("doc_id", "ascending"), ("off", "ascending")])
+        d, o = rem["doc_id"].to_numpy(), rem["off"].to_numpy()
+        first, _, sizes = group_boundaries(d)
+        by_doc = {d[s]: o[s:s + m]
+                  for s, m in zip(np.flatnonzero(first), sizes)}
         out_id, out_t, out_r = [], [], []
         for did, txt in zip(
                 docs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
@@ -532,9 +510,9 @@ def _splice_exchange(docs_ds, removable_ds, L: int, n_parts: int):
             out_id.append(did)
             out_t.append(new)
             out_r.append(len(txt) - len(new))
-        return pd.DataFrame({"doc_id": np.array(out_id, np.int64),
-                             "new_text": out_t,
-                             "removed_chars": np.array(out_r, np.int64)})
+        return pa.table({"doc_id": np.array(out_id, np.int64),
+                         "new_text": pa.array(out_t, pa.string()),
+                         "removed_chars": np.array(out_r, np.int64)})
 
     return exchange([docs_ds.select_columns(["doc_id", "text"]),
                      removable_ds], [["doc_id"], ["doc_id"]],
@@ -615,8 +593,8 @@ def dup_span_anchors(docs_ds, L: int = 50, w: int = 8, n_parts: int = 64,
                          "cnt": cnt})
 
     partials = docs_ds.map_batches(partial, batch_format="pyarrow")
-    dup = grouped_partitions(partials, ["h1"], _reduce_dup_keys,
-                             n_parts=n_parts).materialize()
+    dup = exchange([partials], [["h1"]], _reduce_dup_keys,
+                   n_parts=n_parts).materialize()
     if dup.count() > broadcast_limit:
         raise ValueError("winnowed dup-anchor set exceeds broadcast budget; "
                          "raise broadcast_limit or increase w")
@@ -653,16 +631,10 @@ def dup_span_anchors(docs_ds, L: int = 50, w: int = 8, n_parts: int = 64,
     return docs_ds.map_batches(mark, batch_format="pyarrow")
 
 
-def _reduce_distinct_keys(part: pd.DataFrame) -> pd.DataFrame:
+def _reduce_distinct_keys(part: pa.Table) -> pa.Table:
     """Per-partition distinct (h1,h2) — cross-corpus discovery keeps EVERY
     reference-corpus gram (count >= 1), not just repeated ones."""
-    h1 = part["h1"].to_numpy(np.uint64)
-    h2 = part["h2"].to_numpy(np.uint64)
-    if h1.size == 0:
-        return pd.DataFrame({"h1": np.empty(0, np.uint64),
-                             "h2": np.empty(0, np.uint64)})
-    order, starts = _pair_boundaries(h1, h2)
-    return pd.DataFrame({"h1": h1[order][starts], "h2": h2[order][starts]})
+    return part.group_by(["h1", "h2"], use_threads=False).aggregate([])
 
 
 def cross_span_excise(a_ds, b_ds, L: int = 16, n_parts: int = 64,
@@ -682,8 +654,8 @@ def cross_span_excise(a_ds, b_ds, L: int = 16, n_parts: int = 64,
 
     partials = b_ds.map_batches(lambda t: partial_gram_counts(t, L),
                                 batch_format="pyarrow")
-    keys_ds = grouped_partitions(partials, ["h1"], _reduce_distinct_keys,
-                                 n_parts=n_parts).materialize()
+    keys_ds = exchange([partials], [["h1"]], _reduce_distinct_keys,
+                       n_parts=n_parts).materialize()
 
     if keys_ds.count() <= broadcast_limit:
         df = keys_ds.to_pandas()

@@ -23,8 +23,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from pcompress_ray.config import PipelineConfig
 
@@ -52,25 +52,23 @@ def doc_exact_edges(sig_ds, prefilter_shas=None):
 
     import ray
 
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    from pcompress_ray.functions.ops import exchange, group_boundaries
 
     keys = sig_ds.select_columns(["text_sha256", "rank"])
     if prefilter_shas is not None:
         def filt(t: pa.Table) -> pa.Table:
             t = t.replace_schema_metadata(None)
-            shaset = ray.get(prefilter_shas)
-            mask = pd.Series(t["text_sha256"].to_pylist()).isin(shaset)
-            return t.filter(pa.array(mask.to_numpy()))
+            shaset = pa.array(list(ray.get(prefilter_shas)), pa.string())
+            return t.filter(pc.is_in(t["text_sha256"], value_set=shaset))
 
         keys = keys.map_batches(filt, batch_format="pyarrow")
 
-    def stars(part: pd.DataFrame) -> pa.Table:
-        # vectorized over ALL sha groups in the partition; Arrow output
-        # with explicit types (empty pandas object columns trip Ray's
-        # block-size estimation)
-        part = part.sort_values(["text_sha256", "rank"])
+    def stars(part: pa.Table) -> pa.Table:
+        # vectorized over ALL sha groups in the partition
+        part = part.sort_by([("text_sha256", "ascending"),
+                             ("rank", "ascending")])
         key = part["text_sha256"].to_numpy()
-        r = part["rank"].to_numpy(dtype=np.int64)
+        r = part["rank"].to_numpy().astype(np.int64)
         first, gid, _ = group_boundaries(key)
         a = r[first][gid]          # min rank of each row's group (sorted)
         keep = r != a
@@ -79,8 +77,7 @@ def doc_exact_edges(sig_ds, prefilter_shas=None):
                          "kind": pa.array(["exact"] * n, pa.string()),
                          "jaccard": pa.array(np.ones(n, np.float64))})
 
-    from pcompress_ray.functions.ops import fast_grouped_partitions
-    return fast_grouped_partitions(keys, ["text_sha256"], stars)
+    return exchange([keys], [["text_sha256"]], stars)
 
 
 def explode_chunks(sig_ds):
@@ -130,19 +127,21 @@ def chunk_exact_edges(sig_ds, cfg: PipelineConfig, prefilter_hashes=None):
         chunks = semi_join_filter(chunks, ray.get(prefilter_hashes),
                                   on="chunk_hash")
 
-    from pcompress_ray.functions.ops import group_boundaries, grouped_partitions
+    from pcompress_ray.functions.ops import (exchange, group_boundaries,
+                                             run_starts)
 
     group_cap = cfg.bucket_cap
 
-    def pairs_bytes(part: pd.DataFrame) -> pa.Table:
+    def pairs_bytes(part: pa.Table) -> pa.Table:
         # vectorized over ALL chunk-hash groups in the partition; one row per
         # (chunk_hash, rank) — a doc repeating a chunk internally counts once
         # (J3 in-segment self-dedup analog)
-        part = part.drop_duplicates(["chunk_hash", "rank"]) \
-                   .sort_values(["chunk_hash", "rank"])
+        part = part.sort_by([("chunk_hash", "ascending"), ("rank", "ascending")])
+        part = part.filter(run_starts(part["chunk_hash"])
+                           | run_starts(part["rank"]))
         h = part["chunk_hash"].to_numpy()
-        r = part["rank"].to_numpy(dtype=np.int64)
-        ln = part["chunk_len"].to_numpy(dtype=np.int64)
+        r = part["rank"].to_numpy().astype(np.int64)
+        ln = part["chunk_len"].to_numpy().astype(np.int64)
         first, gid, sizes = group_boundaries(h)
         row_size = sizes[gid]
         # star edges (min rank → each other member): full coverage of every
@@ -168,20 +167,17 @@ def chunk_exact_edges(sig_ds, cfg: PipelineConfig, prefilter_hashes=None):
         # (a,b) shuffle — fusing what used to be a second full sort barrier
         # keyed on the same (a,b) into the one exchange every edge already
         # pays for. Emitted as kind="substring_part" PARTIALS.
-        out = pd.DataFrame({"a": np.concatenate(out_a),
-                            "b": np.concatenate(out_b),
-                            "shared": np.concatenate(out_s)}) \
-            .groupby(["a", "b"], as_index=False, sort=False) \
-            .agg(shared_bytes=("shared", "sum"),
-                 shared_chunks=("shared", "size"))
+        out = pa.table({"a": np.concatenate(out_a),
+                        "b": np.concatenate(out_b),
+                        "shared": np.concatenate(out_s)}) \
+            .group_by(["a", "b"], use_threads=False) \
+            .aggregate([("shared", "sum"), ("shared", "count")])
         n = len(out)
         return pa.table({
-            "a": pa.array(out["a"].to_numpy(dtype=np.int64)),
-            "b": pa.array(out["b"].to_numpy(dtype=np.int64)),
+            "a": out["a"], "b": out["b"],
             "kind": pa.array(["substring_part"] * n, pa.string()),
             "jaccard": pa.array(np.zeros(n, np.float64)),
-            "shared_bytes": pa.array(out["shared_bytes"].to_numpy(dtype=np.int64)),
-            "shared_chunks": pa.array(out["shared_chunks"].to_numpy(dtype=np.int64))})
+            "shared_bytes": out["shared_sum"],
+            "shared_chunks": out["shared_count"]})
 
-    from pcompress_ray.functions.ops import fast_grouped_partitions
-    return fast_grouped_partitions(chunks, ["chunk_hash"], pairs_bytes)
+    return exchange([chunks], [["chunk_hash"]], pairs_bytes)

@@ -130,28 +130,20 @@ def anchor_index(links_ds, n_parts: int = 32):
     smallest) — the classic search-engine anchor signal, aggregated with
     one href-keyed hash-partitioned exchange (vectorized per partition;
     no driver materialization, scales to any link count)."""
-    import pandas as pd
+    from pcompress_ray.functions.ops import exchange, run_starts
 
-    from pcompress_ray.functions.ops import grouped_partitions
+    def agg(part: pa.Table) -> pa.Table:
+        stats = part.group_by("href", use_threads=False).aggregate(
+            [([], "count_all"), ("doc_id", "count_distinct")]) \
+            .rename_columns(["href", "n_links", "n_src_docs"])
+        cnt = part.filter(pc.is_valid(part["anchor"])) \
+            .group_by(["href", "anchor"], use_threads=False) \
+            .aggregate([([], "count_all")]) \
+            .sort_by([("href", "ascending"), ("count_all", "descending"),
+                      ("anchor", "ascending")])
+        top = cnt.filter(run_starts(cnt["href"])).select(["href", "anchor"]) \
+            .rename_columns(["href", "top_anchor"])
+        return stats.join(top, "href", join_type="left outer") \
+            .select(["href", "n_links", "n_src_docs", "top_anchor"])
 
-    def agg(part: pd.DataFrame) -> pd.DataFrame:
-        if not len(part):
-            return pd.DataFrame({"href": pd.Series([], dtype=object),
-                                 "n_links": pd.Series([], dtype=np.int64),
-                                 "n_src_docs": pd.Series([], dtype=np.int64),
-                                 "top_anchor": pd.Series([], dtype=object)})
-        g = part.groupby("href", sort=False)
-        n_links = g.size().rename("n_links")
-        n_src = g["doc_id"].nunique().rename("n_src_docs")
-        cnt = (part.groupby(["href", "anchor"], sort=False).size()
-               .reset_index(name="c")
-               .sort_values(["href", "c", "anchor"],
-                            ascending=[True, False, True], kind="stable"))
-        top = cnt.drop_duplicates("href").set_index("href")["anchor"] \
-            .rename("top_anchor")
-        out = pd.concat([n_links, n_src, top], axis=1).reset_index()
-        out["n_links"] = out["n_links"].astype(np.int64)
-        out["n_src_docs"] = out["n_src_docs"].astype(np.int64)
-        return out
-
-    return grouped_partitions(links_ds, ["href"], agg, n_parts=n_parts)
+    return exchange([links_ds], [["href"]], agg, n_parts=n_parts)

@@ -73,10 +73,6 @@ PC_TYPE_MASK = 0x7        # utils/utils.h:338
 PC_SUBTYPE_MASK = 0xFFF8  # utils/utils.h:339
 
 
-def pc_type(t: int) -> int:
-    return t & PC_TYPE_MASK
-
-
 def pc_subtype(t: int) -> int:
     return t & PC_SUBTYPE_MASK
 

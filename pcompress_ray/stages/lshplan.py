@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
 import pyarrow as pa
 
 E12 = 10 ** 12
@@ -50,32 +49,6 @@ E12 = 10 ** 12
 def candidate_prob(s: Fraction, b: int, r: int) -> Fraction:
     """P(candidate) = 1 - (1 - s^r)^b, exact over rationals."""
     return 1 - (1 - s ** r) ** b
-
-
-def _integrals(b: int, r: int, t: Fraction,
-               grid: int) -> tuple[Fraction, Fraction]:
-    """(fp, fn) by midpoint quadrature on ``grid`` uniform cells of [0,1].
-
-    Cells at or below t accumulate P(s) (false-positive mass); cells above
-    t accumulate 1 - P(s) (false-negative mass). t must align with the
-    grid (t·grid integral) so no cell straddles the threshold.
-    """
-    cut = t * grid
-    if cut.denominator != 1:
-        raise ValueError("threshold must align with the grid "
-                         f"(t*grid = {cut} not an integer)")
-    cut = int(cut)
-    w = Fraction(1, grid)
-    fp = Fraction(0)
-    fn = Fraction(0)
-    for i in range(grid):
-        s = Fraction(2 * i + 1, 2 * grid)   # cell midpoint
-        p = candidate_prob(s, b, r)
-        if i < cut:
-            fp += p * w
-        else:
-            fn += (1 - p) * w
-    return fp, fn
 
 
 def plan_bands(num_perm: int = 128, threshold: Fraction | float = None,

@@ -34,7 +34,6 @@ move the reference makes for delta candidates.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -43,29 +42,25 @@ def mirror_domain_pairs(ds, domain_col: str = "domain",
                         min_jaccard_e6: int = 0, n_parts: int = 64):
     """(domain, key) Dataset → (domain_a, domain_b, shared, n_a, n_b,
     jaccard_e6) for all domain pairs sharing ≥1 rare key."""
-    from pcompress_ray.functions.ops import grouped_partitions, hash_join
+    from pcompress_ray.functions.ops import exchange, hash_join
 
-    def per_key(part: pd.DataFrame) -> pd.DataFrame:
+    def per_key(part: pa.Table) -> pa.Table:
         """All rows of each key land here: emit per-domain size rows
         (kind 0) and d1<d2 pair rows (kind 1) for rare keys only."""
-        a_out: list[np.ndarray] = []
-        b_out: list[np.ndarray] = []
-        kind_out: list[np.ndarray] = []
-        part = part.sort_values([key_col, domain_col], kind="stable")
+        none = [np.empty(0, object)]
+        a_out, b_out, kind_out = list(none), list(none), [np.empty(0, np.int8)]
+        part = part.group_by([key_col, domain_col], use_threads=False) \
+            .aggregate([]).sort_by([(key_col, "ascending"),
+                                    (domain_col, "ascending")])
         k = part[key_col].to_numpy()
         d = part[domain_col].to_numpy()
         n = len(part)
-        if n == 0:
-            return pd.DataFrame({"a": np.array([], object),
-                                 "b": np.array([], object),
-                                 "kind": np.array([], np.int8)})
-        first = np.empty(n, bool)
-        first[0] = True
+        first = np.ones(n, bool)
         first[1:] = k[1:] != k[:-1]
         starts = np.flatnonzero(first)
         ends = np.append(starts[1:], n)
         for s, e in zip(starts, ends):
-            doms = np.unique(d[s:e])
+            doms = d[s:e]  # distinct and sorted
             if doms.size > cap:
                 continue
             a_out.append(doms)
@@ -76,20 +71,16 @@ def mirror_domain_pairs(ds, domain_col: str = "domain",
                 a_out.append(doms[ia])
                 b_out.append(doms[ib])
                 kind_out.append(np.ones(ia.size, np.int8))
-        if not a_out:
-            return pd.DataFrame({"a": np.array([], object),
-                                 "b": np.array([], object),
-                                 "kind": np.array([], np.int8)})
-        return pd.DataFrame({"a": np.concatenate(a_out),
-                             "b": np.concatenate(b_out),
-                             "kind": np.concatenate(kind_out)})
+        return pa.table({"a": pa.array(np.concatenate(a_out), pa.string()),
+                         "b": pa.array(np.concatenate(b_out), pa.string()),
+                         "kind": np.concatenate(kind_out)})
 
-    emitted = grouped_partitions(ds, [key_col], per_key,
-                                 n_parts=n_parts).materialize()
+    emitted = exchange([ds], [[key_col]], per_key,
+                       n_parts=n_parts).materialize()
 
-    def counts(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(["a", "b"], sort=True).size().reset_index(name="n")
-        return g
+    def counts(part: pa.Table) -> pa.Table:
+        return part.group_by(["a", "b"], use_threads=False) \
+            .aggregate([([], "count_all")]).rename_columns(["a", "b", "n"])
 
     def kind_filter(want: int):
         def f(t: pa.Table) -> pa.Table:
@@ -98,12 +89,12 @@ def mirror_domain_pairs(ds, domain_col: str = "domain",
             return t.filter(pa.array(m))
         return f
 
-    sizes = grouped_partitions(
-        emitted.map_batches(kind_filter(0), batch_format="pyarrow"),
-        ["a"], counts)
-    pairs = grouped_partitions(
-        emitted.map_batches(kind_filter(1), batch_format="pyarrow"),
-        ["a", "b"], counts)
+    sizes = exchange(
+        [emitted.map_batches(kind_filter(0), batch_format="pyarrow")],
+        [["a"]], counts)
+    pairs = exchange(
+        [emitted.map_batches(kind_filter(1), batch_format="pyarrow")],
+        [["a", "b"]], counts)
 
     def size_cols(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)

@@ -11,7 +11,7 @@ this stage gives the actual cleaned corpus a training pipeline consumes.
 
 Shape: two hash-partitioned exchanges, both vectorized per partition.
 
-1. segment-keyed (``grouped_partitions`` on ``seg``): every occurrence of a
+1. segment-keyed (``exchange`` on ``seg``): every occurrence of a
    segment string co-locates, so global keep-first is one stable sort +
    one shifted-comparison per partition — no per-key Python.
 2. doc-keyed: per-doc ``seg_no`` sort, then kept segments are wrapped as an
@@ -29,71 +29,58 @@ sets with zero collision caveats.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from pcompress_ray.functions.ops import run_starts
 
 
-def mark_first_occurrence(part: pd.DataFrame) -> pd.DataFrame:
+def _joined_per_doc(part: pa.Table, text_col: str, keep: np.ndarray,
+                    sep: str):
+    """(doc starts, rows per doc, kept rows per doc, joined kept text) of a
+    doc-sorted partition: kept rows are wrapped as a ListArray at per-doc
+    offsets and joined by a single ``pc.binary_join`` call."""
+    starts = np.flatnonzero(run_starts(part["doc_id"]))
+    sizes = np.diff(np.append(starts, len(part)))
+    n_kept = np.add.reduceat(keep.astype(np.int64), starts)
+    # offsets of kept rows at doc boundaries: cumulative kept count at
+    # each doc start (exclusive prefix), closed by the total.
+    ck = np.cumsum(keep.astype(np.int64))
+    off = np.zeros(starts.size + 1, dtype=np.int64)
+    off[1:] = ck[starts + sizes - 1]
+    kept = part[text_col].filter(pa.array(keep)).combine_chunks()
+    # int64 (large-list) offsets: a >2^31-line partition must not wrap
+    lst = pa.LargeListArray.from_arrays(pa.array(off), kept)
+    return starts, sizes, n_kept, pc.binary_join(lst, sep)
+
+
+def mark_first_occurrence(part: pa.Table) -> pa.Table:
     """Global keep-first inside one seg-keyed partition.
 
     All rows of any segment string are guaranteed co-located (hash
     partition on ``seg``), so the first row of each run after a stable
     (seg, doc_id, seg_no) sort is the corpus-wide first occurrence.
     """
-    part = part.sort_values(["seg", "doc_id", "seg_no"], kind="stable")
-    segv = part["seg"].to_numpy()
-    keep = np.empty(len(part), dtype=bool)
-    if len(part):
-        keep[0] = True
-        keep[1:] = segv[1:] != segv[:-1]
-    return pd.DataFrame({
-        "doc_id": part["doc_id"].to_numpy(np.int64),
-        "seg_no": part["seg_no"].to_numpy(np.int64),
-        "seg": segv,
-        "keep": keep.astype(np.int8),
-    })
+    part = part.sort_by([(c, "ascending") for c in ("seg", "doc_id", "seg_no")])
+    return part.select(["doc_id", "seg_no", "seg"]).append_column(
+        "keep", pa.array(run_starts(part["seg"]).astype(np.int8)))
 
 
-def reassemble_docs(part: pd.DataFrame) -> pd.DataFrame:
+def reassemble_docs(part: pa.Table) -> pa.Table:
     """Rebuild one doc-keyed partition's documents from kept segments.
 
     Vectorized: one (doc_id, seg_no) sort, doc boundaries by shifted
-    comparison, kept rows wrapped as a ListArray at per-doc offsets and
-    joined by a single ``pc.binary_join`` call.  Docs whose every segment
-    was a duplicate still emit a row (empty ``new_text``).
+    comparison, kept rows joined per doc by ``_joined_per_doc``. Docs
+    whose every segment was a duplicate still emit a row (empty
+    ``new_text``).
     """
-    import pyarrow.compute as pc
-
-    if not len(part):
-        return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
-                             "n_segs": pd.Series([], dtype=np.int64),
-                             "n_kept": pd.Series([], dtype=np.int64),
-                             "new_text": pd.Series([], dtype=object)})
-    part = part.sort_values(["doc_id", "seg_no"], kind="stable")
-    doc = part["doc_id"].to_numpy(np.int64)
-    keep = part["keep"].to_numpy(np.int8).astype(bool)
-    first = np.empty(doc.size, dtype=bool)
-    first[0] = True
-    first[1:] = doc[1:] != doc[:-1]
-    starts = np.flatnonzero(first)
-    sizes = np.diff(np.append(starts, doc.size))
-    doc_ids = doc[starts]
-    n_kept = np.add.reduceat(keep.astype(np.int64), starts)
-    # offsets of kept rows at doc boundaries: cumulative kept count at
-    # each doc start (exclusive prefix), closed by the total.
-    ck = np.cumsum(keep.astype(np.int64))
-    off = np.empty(starts.size + 1, dtype=np.int64)
-    off[0] = 0
-    off[1:] = ck[starts + sizes - 1]
-    segs_kept = part["seg"].to_numpy()[keep]
-    # int64 (large-list) offsets: a >2^31-line partition must not wrap
-    lst = pa.LargeListArray.from_arrays(pa.array(off),
-                                        pa.array(segs_kept, pa.string()))
-    new_text = pc.binary_join(lst, " ").to_pandas()
-    return pd.DataFrame({"doc_id": doc_ids,
-                         "n_segs": sizes.astype(np.int64),
-                         "n_kept": n_kept,
-                         "new_text": new_text.to_numpy()})
+    part = part.sort_by([("doc_id", "ascending"), ("seg_no", "ascending")])
+    keep = part["keep"].to_numpy().astype(bool)
+    starts, sizes, n_kept, new_text = _joined_per_doc(part, "seg", keep, " ")
+    return pa.table({"doc_id": part["doc_id"].take(starts),
+                     "n_segs": sizes.astype(np.int64),
+                     "n_kept": n_kept,
+                     "new_text": new_text})
 
 
 def segment_dedup_rewrite(ds, w: int = 10, n_parts: int = 32):
@@ -104,15 +91,14 @@ def segment_dedup_rewrite(ds, w: int = 10, n_parts: int = 32):
     reference's ``-F`` fixed-block chunker analog), so counts agree with
     ``q_segment_dedup`` exactly.
     """
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
     from pcompress_ray.stages.textstats import doc_segments
 
     segs = ds.map_batches(lambda t: doc_segments(t, w=w),
                           batch_format="pyarrow")
-    marked = grouped_partitions(segs, ["seg"], mark_first_occurrence,
-                                n_parts=n_parts)
-    return grouped_partitions(marked, ["doc_id"], reassemble_docs,
-                              n_parts=n_parts)
+    marked = exchange([segs], [["seg"]], mark_first_occurrence,
+                      n_parts=n_parts)
+    return exchange([marked], [["doc_id"]], reassemble_docs, n_parts=n_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -178,80 +164,38 @@ def mark_dup_lines(min_docs: int, carry_cols: tuple = ()):
     the keep-first segment rewrite above). Blank-after-trim lines are
     structural and never removed. ``carry_cols`` pass through untouched."""
 
-    def run(part: pd.DataFrame) -> pd.DataFrame:
-        if not len(part):
-            out = {"doc_id": pd.Series([], dtype=np.int64),
-                   "line_no": pd.Series([], dtype=np.int64),
-                   "line": pd.Series([], dtype=object),
-                   "keep": pd.Series([], dtype=np.int8)}
-            out.update({c: pd.Series([], dtype=object)
-                        for c in carry_cols})
-            return pd.DataFrame(out)
-        part = part.sort_values(["key", "doc_id"], kind="stable")
-        keyv = part["key"].to_numpy()
-        docv = part["doc_id"].to_numpy(np.int64)
+    def run(part: pa.Table) -> pa.Table:
+        part = part.sort_by([("key", "ascending"), ("doc_id", "ascending")])
+        new_key = run_starts(part["key"])
+        new_pair = new_key | run_starts(part["doc_id"])
         n = len(part)
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = keyv[1:] != keyv[:-1]
-        new_pair = new_key.copy()
-        new_pair[1:] |= docv[1:] != docv[:-1]
         # distinct-doc count per key: reduceat of pair-first flags
         starts = np.flatnonzero(new_key)
         n_docs = np.add.reduceat(new_pair.astype(np.int64), starts)
         per_row = np.repeat(n_docs, np.diff(np.append(starts, n)))
-        remove = (per_row >= min_docs) & (keyv != "")
-        out = {"doc_id": docv,
-               "line_no": part["line_no"].to_numpy(np.int64),
-               "line": part["line"].to_numpy(),
-               "keep": (~remove).astype(np.int8)}
-        out.update({c: part[c].to_numpy() for c in carry_cols})
-        return pd.DataFrame(out)
+        blank = pc.equal(part["key"], "").to_numpy(zero_copy_only=False)
+        remove = (per_row >= min_docs) & ~blank
+        return part.select(["doc_id", "line_no", "line", *carry_cols]) \
+            .add_column(3, "keep", pa.array((~remove).astype(np.int8)))
 
     return run
 
 
-def reassemble_lines(part: pd.DataFrame,
-                     carry_cols: tuple = ()) -> pd.DataFrame:
+def reassemble_lines(part: pa.Table, carry_cols: tuple = ()) -> pa.Table:
     """Doc-keyed partition -> (doc_id, n_lines, n_kept, new_text
-    [, carry...]), kept lines re-joined with a single binary_join at
-    per-doc ListArray offsets (same vectorized shape as reassemble_docs).
-    Carried values are read from each doc's line_no==0 row (where
-    explode_lines put them)."""
-    import pyarrow.compute as pc
-
-    if not len(part):
-        out = {"doc_id": pd.Series([], dtype=np.int64),
-               "n_lines": pd.Series([], dtype=np.int64),
-               "n_kept": pd.Series([], dtype=np.int64),
-               "new_text": pd.Series([], dtype=object)}
-        out.update({c: pd.Series([], dtype=object) for c in carry_cols})
-        return pd.DataFrame(out)
-    part = part.sort_values(["doc_id", "line_no"], kind="stable")
-    doc = part["doc_id"].to_numpy(np.int64)
-    keep = part["keep"].to_numpy(np.int8).astype(bool)
-    first = np.empty(doc.size, dtype=bool)
-    first[0] = True
-    first[1:] = doc[1:] != doc[:-1]
-    starts = np.flatnonzero(first)
-    sizes = np.diff(np.append(starts, doc.size))
-    n_kept = np.add.reduceat(keep.astype(np.int64), starts)
-    ck = np.cumsum(keep.astype(np.int64))
-    off = np.empty(starts.size + 1, dtype=np.int64)
-    off[0] = 0
-    off[1:] = ck[starts + sizes - 1]
-    kept_lines = part["line"].to_numpy()[keep]
-    # int64 (large-list) offsets: a >2^31-line partition must not wrap
-    lst = pa.LargeListArray.from_arrays(pa.array(off),
-                                        pa.array(kept_lines, pa.string()))
-    new_text = pc.binary_join(lst, "\n").to_pandas()
-    out = {"doc_id": doc[starts],
+    [, carry...]), kept lines re-joined per doc by ``_joined_per_doc``
+    (same vectorized shape as reassemble_docs). Carried values are read
+    from each doc's line_no==0 row (where explode_lines put them)."""
+    part = part.sort_by([("doc_id", "ascending"), ("line_no", "ascending")])
+    keep = part["keep"].to_numpy().astype(bool)
+    starts, sizes, n_kept, new_text = _joined_per_doc(part, "line", keep, "\n")
+    out = {"doc_id": part["doc_id"].take(starts),
            "n_lines": sizes.astype(np.int64),
            "n_kept": n_kept,
-           "new_text": new_text.to_numpy()}
+           "new_text": new_text}
     # line_no==0 is the first row of each doc segment after the sort
-    out.update({c: part[c].to_numpy()[starts] for c in carry_cols})
-    return pd.DataFrame(out)
+    out.update({c: part[c].take(starts) for c in carry_cols})
+    return pa.table(out)
 
 
 def line_dedup_rewrite(ds, min_docs: int = 2, n_parts: int = 32,
@@ -279,14 +223,13 @@ def line_dedup_rewrite(ds, min_docs: int = 2, n_parts: int = 32,
     skip a third all-to-all hash join entirely (the curate funnel's
     line-scrub stage).
     """
-    from pcompress_ray.functions.ops import grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     carry = tuple(carry_cols)
     lines = ds.map_batches(lambda t: explode_lines(t, carry),
                            batch_format="pyarrow")
-    marked = grouped_partitions(lines, ["key"],
-                                mark_dup_lines(min_docs, carry),
-                                n_parts=n_parts)
-    return grouped_partitions(
-        marked, ["doc_id"],
-        lambda part: reassemble_lines(part, carry), n_parts=n_parts)
+    marked = exchange([lines], [["key"]], mark_dup_lines(min_docs, carry),
+                      n_parts=n_parts)
+    return exchange([marked], [["doc_id"]],
+                    lambda part: reassemble_lines(part, carry),
+                    n_parts=n_parts)

@@ -18,7 +18,6 @@ scored table.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 K1 = 1.5
@@ -28,8 +27,7 @@ B = 0.75
 def bm25_topk(ds, terms: list[str], k: int = 20,
               id_col: str = "doc_id", text_col: str = "text"):
     """documents Dataset -> top-k (doc_id, n_terms, score_e6) Dataset."""
-    from pcompress_ray.functions.ops import (block_rounds, exchange,
-                                             grouped_partitions)
+    from pcompress_ray.functions.ops import block_rounds, exchange
     from pcompress_ray.stages.textstats import doc_token_counts
 
     terms_arr = np.array(sorted(set(terms)), dtype=object)
@@ -96,15 +94,12 @@ def bm25_topk(ds, terms: list[str], k: int = 20,
             id_col: t[id_col].cast(pa.int64()),
             "e6": pa.array(np.floor(val * 1e6 + 0.5).astype(np.int64))})
 
-    def per_doc(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(id_col, as_index=False, sort=False) \
-            .agg(n_terms=("e6", "size"), score_e6=("e6", "sum"))
-        g["n_terms"] = g["n_terms"].astype(np.int64)
-        g["score_e6"] = g["score_e6"].astype(np.int64)
-        return g
+    def per_doc(part: pa.Table) -> pa.Table:
+        return part.group_by(id_col, use_threads=False) \
+            .aggregate([([], "count_all"), ("e6", "sum")]) \
+            .rename_columns([id_col, "n_terms", "score_e6"])
 
-    scored = grouped_partitions(
-        rows.map_batches(contrib, batch_format="pyarrow"),
-        [id_col], per_doc, n_parts=16)
+    scored = exchange([rows.map_batches(contrib, batch_format="pyarrow")],
+                      [[id_col]], per_doc, n_parts=16)
     return scored.sort(["score_e6", id_col],
                        descending=[True, False]).limit(k)

@@ -48,8 +48,9 @@ Overflow discipline (exact at 10^12 docs):
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+
+from pcompress_ray.functions.ops import run_starts
 
 SCALE = 1_000_000
 
@@ -94,22 +95,13 @@ def _norm_weights_e6(w: np.ndarray, n_docs: int, sum_w: int) -> np.ndarray:
     return unw[np.searchsorted(uw, w)]
 
 
-def _count_per_key(part: pd.DataFrame, key_col: str, id_col: str) -> pd.DataFrame:
+def _count_per_key(part: pa.Table, key_col: str, id_col: str) -> pa.Table:
     """Per-partition (id, dup_count): all rows of a key share a partition."""
-    part = part.sort_values([key_col], kind="stable")
-    k = part[key_col].to_numpy()
-    n = len(part)
-    if n == 0:
-        return pd.DataFrame({id_col: np.array([], np.int64),
-                             "dup_count": np.array([], np.int64)})
-    first = np.empty(n, bool)
-    first[0] = True
-    first[1:] = k[1:] != k[:-1]
-    starts = np.flatnonzero(first)
-    sizes = np.diff(np.append(starts, n))
-    return pd.DataFrame({
-        id_col: part[id_col].to_numpy().astype(np.int64),
-        "dup_count": np.repeat(sizes, sizes).astype(np.int64)})
+    part = part.sort_by(key_col)
+    first = run_starts(part[key_col])
+    sizes = np.diff(np.append(np.flatnonzero(first), len(part)))
+    return pa.table({id_col: part[id_col].cast(pa.int64()),
+                     "dup_count": np.repeat(sizes, sizes).astype(np.int64)})
 
 
 def soft_dedup_weights(ds, key_col: str, id_col: str = "doc_id",
@@ -121,15 +113,14 @@ def soft_dedup_weights(ds, key_col: str, id_col: str = "doc_id",
     """
     import ray
 
-    from pcompress_ray.functions.ops import block_rounds, grouped_partitions
+    from pcompress_ray.functions.ops import block_rounds, exchange
 
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
 
-    counted = grouped_partitions(
-        ds, [key_col],
-        lambda part: _count_per_key(part, key_col, id_col),
-        n_parts=n_parts).materialize()
+    counted = exchange([ds], [[key_col]],
+                       lambda part: _count_per_key(part, key_col, id_col),
+                       n_parts=n_parts).materialize()
 
     cap = _dc_cap(alpha)
 

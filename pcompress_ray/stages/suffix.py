@@ -349,8 +349,7 @@ def substring_excise(spans_ds, pages_ds, min_len: int = 0,
 
     import pyarrow.compute as pc
 
-    from pcompress_ray.functions.ops import (broadcast_join,
-                                             grouped_partitions,
+    from pcompress_ray.functions.ops import (broadcast_join, exchange,
                                              semi_join_filter)
 
     text_col = "text_norm" if "text_norm" in pages_ds.schema().names \
@@ -371,12 +370,12 @@ def substring_excise(spans_ds, pages_ds, min_len: int = 0,
     # intervals travel as a flat "s-e;s-e" string column: list<int64>
     # columns do not survive the union+groupby concat (null-padded list
     # field-name unification), and the payload is tiny (affected docs only)
-    def fold(df: pd.DataFrame) -> pa.Table:
+    def fold(df: pa.Table) -> pa.Table:
         rows = {"rank": [], "cuts": []}
         if len(df):
-            r = df["rank"].to_numpy(dtype=np.int64)
-            s = df["s"].to_numpy(dtype=np.int64)
-            e = df["e"].to_numpy(dtype=np.int64)
+            r = df["rank"].to_numpy()
+            s = df["s"].to_numpy()
+            e = df["e"].to_numpy()
             o = np.argsort(r, kind="stable")
             r, s, e = r[o], s[o], e[o]
             bounds = np.flatnonzero(np.diff(r)) + 1
@@ -385,14 +384,12 @@ def substring_excise(spans_ds, pages_ds, min_len: int = 0,
                 rows["rank"].append(int(r[lo]))
                 rows["cuts"].append(";".join(
                     f"{a}-{b}" for a, b in zip(ms.tolist(), me.tolist())))
-        # explicit Arrow schema: an empty pandas block would degrade the
-        # string column to Arrow null type and poison the join's schema
-        # unification (a partition can hold no match)
         return pa.table({"rank": pa.array(rows["rank"], pa.int64()),
                          "cuts": pa.array(rows["cuts"], pa.string())})
 
-    cuts_df = (grouped_partitions(raw, ["rank"], fold,
-                                  n_parts=join_buckets).to_pandas())
+    # materialized first, so to_pandas launches no executor
+    cuts_df = exchange([raw], [["rank"]], fold,
+                       n_parts=join_buckets).materialize().to_pandas()
     if len(cuts_df) == 0 or "rank" not in cuts_df.columns:
         cuts_df = pd.DataFrame({"rank": pd.Series([], dtype=np.int64),
                                 "cuts": pd.Series([], dtype=str)})

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 _UTM_RE = r"[?&]utm_[a-z0-9_]*=[^&]*"
 
@@ -60,13 +59,6 @@ def canonicalize_urls(urls: pd.Series) -> pd.Series:
     pq = promoted.where(~pq.str.contains("?", regex=False), pq) \
                  .str.replace(r"/+\Z", "", regex=True)
     return scheme + "://" + host + pq
-
-
-def canonicalize_batch(df: pd.DataFrame, url_col: str = "url",
-                       out_col: str = "canon_url") -> pd.DataFrame:
-    out = df.copy()
-    out[out_col] = canonicalize_urls(df[url_col])
-    return out
 
 
 def synthesize_messy_urls(doc_id: np.ndarray) -> pd.Series:

@@ -59,19 +59,13 @@ def test_score_self_is_100(data):
 def test_line_explode_reassemble_is_lossless(texts):
     """explode_lines -> keep everything -> reassemble == original text
     (the rewrite machinery must be byte-lossless when nothing is removed)."""
-    import pandas as pd
-
     from pcompress_ray.stages.rewrite import explode_lines, reassemble_lines
 
     t = pa.table({"doc_id": pa.array(list(range(len(texts))), pa.int64()),
                   "text": pa.array(texts, pa.string())})
     ex = explode_lines(t)
-    part = pd.DataFrame({
-        "doc_id": ex["doc_id"].to_numpy(zero_copy_only=False),
-        "line_no": ex["line_no"].to_numpy(zero_copy_only=False),
-        "line": ex["line"].to_pylist(),
-        "keep": np.ones(len(ex), np.int8),
-    })
-    out = reassemble_lines(part).sort_values("doc_id")
+    part = ex.select(["doc_id", "line_no", "line"]).append_column(
+        "keep", pa.array(np.ones(len(ex), np.int8)))
+    out = reassemble_lines(part).to_pandas().sort_values("doc_id")
     assert out["new_text"].tolist() == list(texts)
     assert out["n_lines"].tolist() == [t.count("\n") + 1 for t in texts]

@@ -265,33 +265,32 @@ def test_band_join_count_matches_bruteforce(rds):
 def _make_gp_fn():
     # defined inside a factory so cloudpickle ships it by VALUE (workers
     # cannot import the test module)
-    def _gp_fn(part: pd.DataFrame) -> pa.Table:
-        out = part.groupby("k", as_index=False).agg(s=("v", "sum"),
-                                                    n=("v", "size"))
-        return pa.table({"k": pa.array(out["k"].to_numpy(dtype=np.int64)),
-                         "s": pa.array(out["s"].to_numpy(dtype=np.int64)),
-                         "n": pa.array(out["n"].to_numpy(dtype=np.int64))})
+    def _gp_fn(part: pa.Table) -> pa.Table:
+        return part.group_by("k", use_threads=False) \
+            .aggregate([("v", "sum"), ([], "count_all")]) \
+            .rename_columns(["k", "s", "n"])
     return _gp_fn
 
 
-def test_fast_grouped_partitions_matches_sort_path(rds):
-    from pcompress_ray.functions.ops import (fast_grouped_partitions,
-                                             grouped_partitions)
+def _sum_by_k_reference(df: pd.DataFrame) -> pd.DataFrame:
+    return df.groupby("k", as_index=False).agg(s=("v", "sum"), n=("v", "size")) \
+        .sort_values("k").reset_index(drop=True)
 
-    _gp_fn = _make_gp_fn()
+
+def test_fast_grouped_partitions_matches_sort_path(rds):
+    """A single-input ``exchange`` with an Arrow per-partition aggregate
+    equals pandas' groupby over the whole input: every key reaches exactly
+    one ``fn`` call."""
+    from pcompress_ray.functions.ops import exchange
+
     rng = np.random.RandomState(7)
     df = pd.DataFrame({"k": rng.randint(0, 200, 5000).astype(np.int64),
                        "v": rng.randint(0, 1000, 5000).astype(np.int64)})
-    ds = rds.from_pandas(df).repartition(17)
-    fast = fast_grouped_partitions(ds, ["k"], _gp_fn, n_parts=13) \
+    got = exchange([rds.from_pandas(df).repartition(17)], [["k"]],
+                   _make_gp_fn(), n_parts=13) \
         .to_pandas().sort_values("k").reset_index(drop=True)
-    slow = grouped_partitions(rds.from_pandas(df).repartition(17),
-                              ["k"], _gp_fn, n_parts=13) \
-        .to_pandas().sort_values("k").reset_index(drop=True)
-    ref = df.groupby("k", as_index=False).agg(s=("v", "sum"), n=("v", "size"))
-    ref = ref.sort_values("k").reset_index(drop=True)
-    pd.testing.assert_frame_equal(fast, slow.astype(fast.dtypes.to_dict()))
-    pd.testing.assert_frame_equal(fast, ref.astype(fast.dtypes.to_dict()))
+    ref = _sum_by_k_reference(df)
+    pd.testing.assert_frame_equal(got, ref.astype(got.dtypes.to_dict()))
 
 
 def test_fast_grouped_partitions_byte_budget_fallback(rds, monkeypatch):
@@ -305,31 +304,31 @@ def test_fast_grouped_partitions_byte_budget_fallback(rds, monkeypatch):
     rng = np.random.RandomState(11)
     df = pd.DataFrame({"k": rng.randint(0, 50, 2000).astype(np.int64),
                        "v": rng.randint(0, 9, 2000).astype(np.int64)})
-    fast = ops.fast_grouped_partitions(rds.from_pandas(df).repartition(5),
-                                       ["k"], _gp_fn, n_parts=7) \
+    fast = ops.exchange([rds.from_pandas(df).repartition(5)], [["k"]],
+                        _gp_fn, n_parts=7) \
         .to_pandas().sort_values("k").reset_index(drop=True)
     monkeypatch.setattr(ops, "_PART_BYTES", 1)
     monkeypatch.setattr(ops, "_inflight_cap", lambda: 1)
-    forced = ops.fast_grouped_partitions(rds.from_pandas(df).repartition(5),
-                                         ["k"], _gp_fn, n_parts=7) \
+    forced = ops.exchange([rds.from_pandas(df).repartition(5)], [["k"]],
+                          _gp_fn, n_parts=7) \
         .to_pandas().sort_values("k").reset_index(drop=True)
-    ref = df.groupby("k", as_index=False).agg(s=("v", "sum"), n=("v", "size"))
-    ref = ref.sort_values("k").reset_index(drop=True)
+    ref = _sum_by_k_reference(df)
     pd.testing.assert_frame_equal(forced.astype(ref.dtypes.to_dict()), ref)
     pd.testing.assert_frame_equal(fast.astype(ref.dtypes.to_dict()), ref)
 
 
-def test_fast_grouped_partitions_string_keys_and_pandas_fn(rds):
-    from pcompress_ray.functions.ops import fast_grouped_partitions
+def test_exchange_string_keys(rds):
+    from pcompress_ray.functions.ops import exchange
 
     df = pd.DataFrame({"k": [f"u{i % 37}" for i in range(1000)],
                        "v": np.arange(1000, dtype=np.int64)})
 
-    def fn(part: pd.DataFrame) -> pd.DataFrame:  # pandas return path
-        return part.groupby("k", as_index=False).agg(s=("v", "sum"))
+    def fn(part: pa.Table) -> pa.Table:
+        return part.group_by("k", use_threads=False) \
+            .aggregate([("v", "sum")]).rename_columns(["k", "s"])
 
-    got = fast_grouped_partitions(rds.from_pandas(df).repartition(9),
-                                  ["k"], fn, n_parts=8) \
+    got = exchange([rds.from_pandas(df).repartition(9)], [["k"]], fn,
+                   n_parts=8) \
         .to_pandas().sort_values("k").reset_index(drop=True)
     ref = df.groupby("k", as_index=False).agg(s=("v", "sum")) \
         .sort_values("k").reset_index(drop=True)
@@ -337,11 +336,11 @@ def test_fast_grouped_partitions_string_keys_and_pandas_fn(rds):
 
 
 def test_fast_grouped_partitions_empty_input(rds):
-    from pcompress_ray.functions.ops import fast_grouped_partitions
+    from pcompress_ray.functions.ops import exchange
 
     df = pd.DataFrame({"k": pd.Series([], dtype=np.int64),
                        "v": pd.Series([], dtype=np.int64)})
-    out = fast_grouped_partitions(rds.from_pandas(df), ["k"], _make_gp_fn())
+    out = exchange([rds.from_pandas(df)], [["k"]], _make_gp_fn())
     assert out.count() == 0
 
 
@@ -419,7 +418,7 @@ _EXCHANGE_CASES = pytest.mark.parametrize("case", [
     test_asof_join_inclusive_and_boundaries,
     test_band_join_count_matches_bruteforce,
     test_fast_grouped_partitions_matches_sort_path,
-    test_fast_grouped_partitions_string_keys_and_pandas_fn,
+    test_exchange_string_keys,
     test_fast_grouped_partitions_empty_input,
     test_exchange_multi_input,
 ], ids=lambda f: f.__name__[len("test_"):])

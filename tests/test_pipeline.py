@@ -338,7 +338,8 @@ def test_bucket_at_cap_emits_every_pair():
     part = pd.DataFrame({"band_id": np.zeros(100, np.int32),
                          "band_hash": np.full(100, 7, np.uint64),
                          "rank": np.arange(100, dtype=np.int64)})
-    got = band_partition_pairs(PipelineConfig(bucket_cap=100))(part)
+    got = band_partition_pairs(PipelineConfig(bucket_cap=100))(
+        pa.Table.from_pandas(part)).to_pandas()
     assert len(got) == 4950
     assert (got["a"] < got["b"]).all()
     assert len(got.drop_duplicates()) == 4950

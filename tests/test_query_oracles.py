@@ -103,29 +103,64 @@ def test_query_matches_frozen_output(ray_session, name):
     _assert_frozen(name, _run(name))
 
 
+def _materialize_logged(name: str, caplog):
+    """Run query ``name`` to a materialized result with Ray Data's log
+    captured in ``caplog``."""
+    import logging
+
+    ray_data_log = logging.getLogger("ray.data")
+    ray_data_log.addHandler(caplog.handler)
+    try:
+        out = e.queries()[name](SF_DIR)
+        return out.materialize() if hasattr(out, "materialize") else out
+    finally:
+        ray_data_log.removeHandler(caplog.handler)
+
+
 def test_q1_pricing_blocks_keep_columns(ray_session, caplog):
     """Every output block of q1_pricing carries its declared columns, and
     no step reports a block whose schema changed (an aggregate that emits
     zero-column blocks for its empty partitions does)."""
-    import logging
-
     import ray
 
     from pcompress_ray.functions.ops import materialized_block_refs
 
-    q = e.queries()["q1_pricing"]
-    ray_data_log = logging.getLogger("ray.data")
-    ray_data_log.addHandler(caplog.handler)
-    try:
-        out = q(SF_DIR).materialize()
-    finally:
-        ray_data_log.removeHandler(caplog.handler)
+    out = _materialize_logged("q1_pricing", caplog)
     assert "different schema" not in caplog.text
     blocks = ray.get(materialized_block_refs(out))
     assert blocks and out.count() > 0
     for b in blocks:
         assert list(b.column_names) == ["l_returnflag", "l_linestatus",
                                         "sum_qty", "sum_revenue", "n_rows"]
+
+
+@pytest.mark.parametrize("name", ["customers_without_orders",
+                                  "incremental_neardup", "archive_roundtrip"])
+def test_no_zero_column_blocks(ray_session, caplog, name):
+    """No step of these queries reports a block whose schema changed: a
+    ``map_batches`` over a block that an earlier step emptied emits a
+    zero-column block, and Ray Data logs "different schema" for it."""
+    _materialize_logged(name, caplog)
+    assert "different schema" not in caplog.text
+
+
+def test_nb_classify_pulls_without_executor_launch(ray_session, monkeypatch):
+    """nb_classify runs three executions: the two exchange inputs and the
+    scoring pass. Its driver pulls of the two exchange outputs read the
+    reducer blocks through ``block_rounds`` and launch none."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *a, **k):
+        calls.append(1)
+        return execute(self, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    e.queries()["nb_classify"](SF_DIR).materialize()
+    assert len(calls) == 3
 
 
 def _freeze(argv: list[str]) -> int:
